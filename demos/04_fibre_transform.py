@@ -1,14 +1,15 @@
 """The fibrewise integral transform between the two circle quotients."""
 
 import selfdual.elliptic as el
-from selfdual.fiber_transform import TorusForm, full_transform, transform
+from selfdual.derham import FourierForm
+from selfdual.fiber_transform import full_transform, transform
 
 data, X = el.build_X(el.EllipticParams(1j, 1j))
 
 # Forms on the (x, y1) quotient map to forms on (x, y2): wedge with the
 # j-th power of the dual pairing, then integrate over the fibre circle.
-one = TorusForm.constant(2, {0: 1.0})
-dx = TorusForm.constant(2, {0b01: 1.0})
+one = FourierForm.constant(2, {0: 1.0})
+dx = FourierForm.constant(2, {0b01: 1.0})
 
 print("S(1), j=1:", transform(one, 1, X).coefficient_table())
 print("S(dx), j=1:", transform(dx, 1, X).coefficient_table())
@@ -19,12 +20,12 @@ out = transform(one, 0, X)
 print("j=0 on a scalar:", out.coefficient_table(), "note:", out.note)
 
 # Oscillating fibre modes integrate to zero.
-osc = TorusForm(2, {0: {(0, 3): (1.0, 0.0)}})
+osc = FourierForm(2, {(0, 3): {0: (1.0, 0.0)}})
 print("fibre frequency 3:", transform(osc, 1, X).coefficient_table())
 
 # Round trip: the composite of the two directions is the identity up to
 # a per-grade sign, and the magnitude is exactly one on any parameters.
 for name, mask in (("1", 0), ("dx", 0b01), ("dy", 0b10)):
-    alpha = TorusForm.constant(2, {mask: 1.0})
+    alpha = FourierForm.constant(2, {mask: 1.0})
     back = full_transform(full_transform(alpha, X), X, back=True)
     print(f"round trip on {name}:", back.coefficient_table())

@@ -5,15 +5,17 @@ import numpy as np
 
 from selfdual import derham, liealg
 
-# A 1-form with one oscillating mode on the three-torus.
-F = derham.FourierForm(3, 2, {(1, 0, 0): {0b010: (1.0, 0.0)}})
+# A 1-form with one oscillating mode on the three-torus, cos(2 pi x) dy1;
+# its norm is the root mean square over the torus, 1/sqrt(2).
+F = derham.FourierForm(3, {(1, 0, 0): {0b010: (1.0, 0.0)}})
 print("grades:", F.grades(), " norm:", F.norm())
 
 dF = derham.d(F)
 print("d lands in grade:", dF.grades())
 print("d^2 = 0:", derham.d(dF).norm() == 0.0)
 
-# the codifferential is the inner-product adjoint of d
+# the codifferential is the adjoint of d for the L2 product (the mean
+# over the torus)
 rng = np.random.default_rng(1)
 G = derham.FourierForm.random(rng, 3, 2)
 lhs = derham.d(F).inner(G)

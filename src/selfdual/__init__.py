@@ -10,7 +10,8 @@ charts          potential charts and the field-level constructions
 elliptic        the three-torus family, invariants, mirror recovery
 fiber_transform fibrewise integral transform between the two quotients
 liealg          pairing operators, bracket identities, closure
-derham          Fourier forms, d, codifferential, commutation checks
+derham          trig-polynomial forms on flat tori: d, codifferential,
+                wedge, fibre integration, commutation checks
 report          JSON check records shared by the command line driver
 
 The command line driver lives in selfdual.cli and is installed as the
@@ -23,11 +24,12 @@ from . import (charts, derham, elliptic, exterior, fiber_transform,
 from .charts import (FieldStructure, PotentialChart, build_XY,
                      chart_from_config, fibre_product, hessian_metric,
                      verify_weak_selfdual)
+from .derham import FourierForm
 from .elliptic import (CurveWithB, EllipticParams, SelfDualTorusData,
                        build_X, complexified_area, gh_scale_profile,
                        recover_mirror_pair, selfdual_full_check)
 from .exterior import GeometryError, Multivector
-from .fiber_transform import TorusForm, full_transform, transform
+from .fiber_transform import full_transform, transform
 from .liealg import L, chevalley_basis, generated_dimension
 from .polylinear import (PolyStructure, deform, is_compatible, normal_form,
                          standard_basis)
@@ -41,7 +43,7 @@ __all__ = [
     "complexified_area", "gh_scale_profile", "recover_mirror_pair",
     "selfdual_full_check",
     "GeometryError", "Multivector",
-    "TorusForm", "full_transform", "transform",
+    "FourierForm", "full_transform", "transform",
     "L", "chevalley_basis", "generated_dimension",
     "PolyStructure", "deform", "is_compatible", "normal_form",
     "standard_basis",

@@ -5,8 +5,6 @@ skaid-check, all. Every run prints one JSON report (stdout or --out)
 and exits 0 when all checks pass, 1 when a check fails, 2 on bad
 configuration. Reports are byte-reproducible for a fixed seed; wall
 times go to stderr behind --timing and never into the report.
-
-SELFDUAL_THREADS bounds the worker pool used by `all`.
 """
 
 import argparse
@@ -14,7 +12,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -168,14 +165,14 @@ def _parse_alpha(text, base_period):
             for axis in row.get("axes", []):
                 mask |= 1 << int(axis)
             k = tuple(row.get("freq", [0, 0]))
-            table.setdefault(mask, {})[k] = (float(row.get("cos", 0.0)),
+            table.setdefault(k, {})[mask] = (float(row.get("cos", 0.0)),
                                              float(row.get("sin", 0.0)))
-        return fm.TorusForm(2, table, periods)
+        return derham.FourierForm(2, table, periods)
     masks = {"1": 0, "dx": 0b01, "dy1": 0b10, "dy2": 0b10,
              "dx^dy1": 0b11, "dx^dy2": 0b11}
     if text not in masks:
         raise ConfigError(f"unknown form shorthand {text!r}")
-    return fm.TorusForm.constant(2, {masks[text]: 1.0}, periods)
+    return derham.FourierForm.constant(2, {masks[text]: 1.0}, periods)
 
 
 def suite_fm(tau, t, alpha_spec, j, samples):
@@ -254,23 +251,15 @@ def suite_skaid(n, N, samples, seed, tol):
     return rp.make_report("skaid-check", config, checks)
 
 
-def suite_all(seed, tols, threads):
-    jobs = [
-        ("verify-pointwise",
-         lambda: suite_verify_pointwise(2, 2, 25, seed, tols["rank"])),
-        ("mirror", lambda: suite_mirror(1j, 1j, tols["identity"])),
-        ("fm", lambda: suite_fm(1j, 1j, "1", 1, 64)),
-        ("rep-check", lambda: suite_rep_check(1, tols["identity"])),
-        ("skaid-check", lambda: suite_skaid(1, 3, 20, seed, 1e-10)),
+def suite_all(seed, tols):
+    reports = [
+        suite_verify_pointwise(2, 2, 25, seed, tols["rank"]),
+        suite_mirror(1j, 1j, tols["identity"]),
+        suite_fm(1j, 1j, "1", 1, 64),
+        suite_rep_check(1, tols["identity"]),
+        suite_skaid(1, 3, 20, seed, 1e-10),
     ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [(name, pool.submit(fn)) for name, fn in jobs]
-            reports = [f.result() for _, f in futures]
-    else:
-        reports = [fn() for _, fn in jobs]
     ok = all(r["pass"] for r in reports)
-    # thread count is runtime detail, like timing: kept out of the bytes
     return {
         "suite": "all",
         "schema_version": rp.SCHEMA_VERSION,
@@ -375,8 +364,7 @@ def run(args):
             raise ConfigError("skaid-check supports n in 1..2")
         return suite_skaid(args.n, args.N, args.samples, args.seed, 1e-10)
     if cmd == "all":
-        threads = max(1, int(os.environ.get("SELFDUAL_THREADS", "1")))
-        return suite_all(args.seed, tols, threads)
+        return suite_all(args.seed, tols)
     raise ConfigError(f"unknown command {cmd!r}")
 
 

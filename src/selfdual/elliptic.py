@@ -21,14 +21,6 @@ from . import polylinear as pl
 
 SELF_DUAL_TOL = 1e-9
 
-#: Monodromy bookkeeping. "re" reads each angle off the real-part shear of
-#: the gluing (theta_1 = Re t mod 1, theta_2 = Re tau mod 1); this is the
-#: convention the recovery procedure inverts. "im" tags the fibrations with
-#: the imaginary parts instead; it is kept selectable because the two
-#: bookkeepings circulate side by side, but it is not invertible (the
-#: imaginary parts are already determined by the lengths).
-MONODROMY_CONVENTIONS = ("re", "im")
-
 
 class NotSelfDual(ValueError):
     """Fibre lengths fail the unit-volume constraint."""
@@ -109,7 +101,6 @@ class SelfDualTorusData:
     ell_2: float
     theta_1: float
     theta_2: float
-    convention: str = "re"
 
     def validate(self, tol=SELF_DUAL_TOL):
         if not self.base_length > 0:
@@ -121,23 +112,22 @@ class SelfDualTorusData:
                 f"fibre length product {self.ell_1 * self.ell_2} != 1")
 
 
-def build_X(p, convention="re"):
+def build_X(p):
     """Glued-torus invariants and the constant coefficient fields.
 
     Returns (SelfDualTorusData, FieldStructure). The metric is
     diag(s, s, 1/s) with s = Im t/Im tau; the two pairings couple the
-    base axis to each fibre axis with coefficients s and 1.
+    base axis to each fibre axis with coefficients s and 1. The
+    monodromy angles are the real-part shears of the gluing,
+    theta_1 = Re t and theta_2 = Re tau, mod 1.
     """
-    if convention not in MONODROMY_CONVENTIONS:
-        raise ValueError(f"unknown monodromy convention {convention!r}")
     s = p.t2 / p.tau2
     data = SelfDualTorusData(
         base_length=float(np.sqrt(p.t2 * p.tau2)),
         ell_1=float(np.sqrt(p.tau2 / p.t2)),
         ell_2=float(np.sqrt(p.t2 / p.tau2)),
-        theta_1=p.t1 % 1.0 if convention == "re" else p.t2 % 1.0,
-        theta_2=p.tau1 % 1.0 if convention == "re" else p.t1 % 1.0,
-        convention=convention,
+        theta_1=p.t1 % 1.0,
+        theta_2=p.tau1 % 1.0,
     )
     O1 = np.zeros((3, 3))
     O1[0, 1], O1[1, 0] = s, -s
@@ -159,9 +149,6 @@ def recover_mirror_pair(d):
     Real parts come back as their representatives in [0, 1).
     """
     d.validate()
-    if d.convention != "re":
-        raise ValueError(
-            "only the re-translation monodromy convention is invertible")
     tau2 = d.base_length * d.ell_1
     t2 = d.base_length * d.ell_2
     tau = complex(d.theta_2 % 1.0, tau2)
@@ -169,26 +156,15 @@ def recover_mirror_pair(d):
     return CurveWithB(tau, t), CurveWithB(t, tau)
 
 
-def complexified_area(c, panels=129):
-    """Integral of the complex 2-form over the curve, by 2-d quadrature.
+def complexified_area(c):
+    """Integral of the complex 2-form over the curve, i*t.
 
     Pulls the form back along z = a + b*tau over the unit square in
-    (a, b); dz wedge dzbar = -2i Im(tau) da wedge db, and the composite
-    trapezoid rule integrates the constant integrand. Closed form: i*t.
+    (a, b); dz wedge dzbar = -2i Im(tau) da wedge db, so the integrand
+    is the constant coefficient times that Jacobian, integrated over a
+    unit area.
     """
-    coeff = c.kahler_coefficient
-    jac = -2.0j * c.tau.imag
-
-    def integrand(a, b):
-        return coeff * jac
-
-    grid = np.linspace(0.0, 1.0, panels)
-    w = np.ones(panels)
-    w[0] = w[-1] = 0.5
-    w = w / (panels - 1)
-    A, B = np.meshgrid(grid, grid, indexing="ij")
-    vals = integrand(A, B) * np.ones_like(A)
-    return complex(np.einsum("i,j,ij->", w, w, vals))
+    return c.kahler_coefficient * (-2j * c.tau.imag)
 
 
 def gh_scale_profile(p, rs):

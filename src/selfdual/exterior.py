@@ -82,6 +82,18 @@ def wedge_axis(mask, a):
     return mask | bit, sign
 
 
+def wedge_sign(ma, mb):
+    """Sign of e_ma wedge e_mb = +-e_(ma|mb) for disjoint masks: the parity
+    of the pairs (axis of ma, axis of mb) out of ascending order."""
+    inversions = 0
+    while mb:
+        low = mb & -mb
+        # axes of ma above this axis of mb
+        inversions += (ma & ~(2 * low - 1)).bit_count()
+        mb ^= low
+    return -1 if inversions & 1 else 1
+
+
 def contract_axis(mask, a):
     """Interior product of basis vector a with e_mask: (new_mask, sign) or None."""
     bit = 1 << a
@@ -211,17 +223,8 @@ def wedge(a, b):
         for mb, cb in b.terms.items():
             if ma & mb:
                 continue
-            # sign of interleaving mb into ma, one axis at a time
-            sign = 1
-            mm = mb
-            while mm:
-                low = mm & -mm
-                # axes of ma above this axis of mb
-                if (ma & ~(low - 1) & ~low).bit_count() & 1:
-                    sign = -sign
-                mm &= mm - 1
             key = ma | mb
-            out[key] = out.get(key, 0.0) + sign * ca * cb
+            out[key] = out.get(key, 0.0) + wedge_sign(ma, mb) * ca * cb
     return Multivector(a.dim, out)
 
 

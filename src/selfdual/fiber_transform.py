@@ -1,10 +1,10 @@
 """Fibrewise integral transform between the two circle quotients.
 
-Forms are trigonometric polynomials on flat tori, stored per axis set as
-frequency tables. The transform wedges the input's pullback with powers
-of the dual pairing form and integrates over the complementary fibre
-against its Riemannian length, sampling with the trapezoid rule (exact
-below the Nyquist frequency).
+Forms are derham.FourierForm trigonometric polynomials on flat tori.
+The transform pulls the input back to the total space, wedges it with a
+power of the dual pairing form and integrates over the complementary
+fibre against its Riemannian length, sampling with the trapezoid rule
+(exact below the Nyquist frequency).
 
 Conventions, fixed once for the whole module:
   - total-space axis order (x, y1, y2), quotient axis orders (x, y1) and
@@ -19,201 +19,8 @@ tests pin the resulting values.
 
 import numpy as np
 
-from . import exterior as ext
-
-FREQ_PRUNE = 1e-14
-
-
-def _canonical_mode(k, a, b):
-    """Flip the frequency vector so its first nonzero entry is positive."""
-    for entry in k:
-        if entry > 0:
-            return k, a, b
-        if entry < 0:
-            return tuple(-x for x in k), a, -b
-    return k, a, 0.0
-
-
-def _add_mode(table, mask, k, a, b):
-    k, a, b = _canonical_mode(tuple(int(x) for x in k), float(a), float(b))
-    modes = table.setdefault(mask, {})
-    old = modes.get(k, (0.0, 0.0))
-    modes[k] = (old[0] + a, old[1] + b)
-
-
-def _prune(table):
-    out = {}
-    for mask, modes in table.items():
-        kept = {k: ab for k, ab in modes.items()
-                if max(abs(ab[0]), abs(ab[1])) > FREQ_PRUNE}
-        if kept:
-            out[mask] = kept
-    return out
-
-
-def _pair_sign(ma, mb):
-    sign = 1
-    mm = mb
-    while mm:
-        low = mm & -mm
-        if (ma & ~(low - 1) & ~low).bit_count() & 1:
-            sign = -sign
-        mm &= mm - 1
-    return sign
-
-
-def _leading(k):
-    for entry in k:
-        if entry:
-            return entry
-    return 0
-
-
-def _trig_mul(m1, m2):
-    """Product of two frequency tables over the same variables.
-
-    Works through the complex representation c_k = (a - ib)/2 attached
-    to exp(2 pi i k.theta), where products convolve; c_{-k} = conj(c_k)
-    keeps the signal real.
-    """
-    c1, c2 = {}, {}
-    for target, src in ((c1, m1), (c2, m2)):
-        for k, (a, b) in src.items():
-            if any(k):
-                neg = tuple(-x for x in k)
-                target[k] = target.get(k, 0j) + complex(a, -b) / 2.0
-                target[neg] = target.get(neg, 0j) + complex(a, b) / 2.0
-            else:
-                target[k] = target.get(k, 0j) + a
-    prod = {}
-    for k1, v1 in c1.items():
-        for k2, v2 in c2.items():
-            k = tuple(x + y for x, y in zip(k1, k2))
-            prod[k] = prod.get(k, 0j) + v1 * v2
-    out = {}
-    for k, c in prod.items():
-        lead = _leading(k)
-        if lead > 0:
-            out[k] = (2.0 * c.real, -2.0 * c.imag)
-        elif lead == 0:
-            out[k] = (c.real, 0.0)
-    return out
-
-
-class TorusForm:
-    """Differential form on a flat torus with trig-polynomial coefficients.
-
-    terms: {axis mask: {frequency tuple: (cos coeff, sin coeff)}}, the
-    frequencies counted against the stated periods. note carries flags
-    raised while producing the form (degree clipping).
-    """
-
-    def __init__(self, dim, terms=None, periods=None, note=None):
-        self.dim = int(dim)
-        if periods is None:
-            periods = np.ones(self.dim)
-        self.periods = np.asarray(periods, dtype=float)
-        if self.periods.shape != (self.dim,) or np.any(self.periods <= 0):
-            raise ValueError("periods must be positive, one per axis")
-        table = {}
-        for mask, modes in (terms or {}).items():
-            if mask >> self.dim:
-                raise ValueError("axis mask outside the carrier")
-            for k, ab in modes.items():
-                if len(k) != self.dim:
-                    raise ValueError("frequency arity mismatch")
-                a, b = (ab, 0.0) if np.isscalar(ab) else ab
-                _add_mode(table, int(mask), k, a, b)
-        self.terms = _prune(table)
-        self.note = note
-
-    @classmethod
-    def zero(cls, dim, periods=None, note=None):
-        return cls(dim, {}, periods, note)
-
-    @classmethod
-    def constant(cls, dim, coeffs, periods=None):
-        """coeffs: {mask: value} with constant coefficients."""
-        k0 = (0,) * dim
-        return cls(dim, {m: {k0: (c, 0.0)} for m, c in coeffs.items()},
-                   periods)
-
-    @classmethod
-    def from_multivector(cls, mv, periods=None):
-        return cls.constant(mv.dim, dict(mv.terms), periods)
-
-    def grades(self):
-        return sorted({m.bit_count() for m in self.terms})
-
-    def max_frequency(self):
-        return max((max(abs(x) for x in k) for modes in self.terms.values()
-                    for k in modes), default=0)
-
-    def evaluate(self, point):
-        """Multivector of coefficient values at the point."""
-        theta = 2.0 * np.pi * np.asarray(point, float) / self.periods
-        out = {}
-        for mask, modes in self.terms.items():
-            val = 0.0
-            for k, (a, b) in modes.items():
-                phase = float(np.dot(k, theta))
-                val += a * np.cos(phase) + b * np.sin(phase)
-            out[mask] = val
-        return ext.Multivector(self.dim, out)
-
-    def norm(self):
-        return float(np.sqrt(sum(
-            a * a + b * b for modes in self.terms.values()
-            for a, b in modes.values())))
-
-    def __add__(self, other):
-        if not isinstance(other, TorusForm):
-            return NotImplemented
-        if self.dim != other.dim or np.any(self.periods != other.periods):
-            raise ValueError("carrier mismatch")
-        table = {}
-        for src in (self.terms, other.terms):
-            for mask, modes in src.items():
-                for k, (a, b) in modes.items():
-                    _add_mode(table, mask, k, a, b)
-        return TorusForm(self.dim, table, self.periods)
-
-    def __sub__(self, other):
-        return self + (-1.0) * other
-
-    def __rmul__(self, c):
-        c = float(c)
-        return TorusForm(
-            self.dim,
-            {m: {k: (c * a, c * b) for k, (a, b) in modes.items()}
-             for m, modes in self.terms.items()},
-            self.periods, note=self.note)
-
-    def wedge(self, other):
-        if self.dim != other.dim or np.any(self.periods != other.periods):
-            raise ValueError("carrier mismatch")
-        table = {}
-        for ma, m1 in self.terms.items():
-            for mb, m2 in other.terms.items():
-                if ma & mb:
-                    continue
-                sign = _pair_sign(ma, mb)
-                for k, (a, b) in _trig_mul(m1, m2).items():
-                    _add_mode(table, ma | mb, k, sign * a, sign * b)
-        return TorusForm(self.dim, table, self.periods)
-
-    def coefficient_table(self):
-        """JSON-ready listing of all modes."""
-        rows = []
-        for mask in sorted(self.terms):
-            for k in sorted(self.terms[mask]):
-                a, b = self.terms[mask][k]
-                rows.append({"axes": ext.mask_axes(mask), "freq": list(k),
-                             "cos": a, "sin": b})
-        return rows
-
-    def __repr__(self):
-        return f"TorusForm(dim={self.dim}, modes={sum(map(len, self.terms.values()))})"
+from . import derham
+from .derham import FourierForm
 
 
 def _flat_data(X, point=(0.11, 0.23, 0.37)):
@@ -227,51 +34,11 @@ def _flat_data(X, point=(0.11, 0.23, 0.37)):
     return OD0, h0
 
 
-def _fibre_integrate(table, dim, axis, length, samples):
-    """Contract the fibre axis into slot one, then trapezoid-average.
-
-    Per mode of fibre frequency f the rule contributes the averages
-    C = mean cos(2 pi f m/M), S = mean sin(2 pi f m/M); below Nyquist
-    these are exactly the 0/1 integrals.
-    """
-    m_idx = np.arange(samples)
-    out = {}
-    for mask, modes in table.items():
-        if not mask & (1 << axis):
-            continue
-        sign = -1.0 if (mask & ((1 << axis) - 1)).bit_count() & 1 else 1.0
-        new_mask = mask & ~(1 << axis)
-        for k, (a, b) in modes.items():
-            ang = 2.0 * np.pi * k[axis] * m_idx / samples
-            C = float(np.mean(np.cos(ang)))
-            S = float(np.mean(np.sin(ang)))
-            k_new = k[:axis] + (0,) + k[axis + 1:]
-            a_new = length * sign * (a * C + b * S)
-            b_new = length * sign * (b * C - a * S)
-            _add_mode(out, new_mask, k_new, a_new, b_new)
-    return _prune(out)
-
-
-def _reindex(table, dim_out, axis_map):
-    """Relabel axes and drop the integrated-out frequency slots."""
-    out = {}
-    for mask, modes in table.items():
-        new_mask = 0
-        for a in ext.mask_axes(mask):
-            new_mask |= 1 << axis_map[a]
-        for k, (a, b) in modes.items():
-            k_new = [0] * dim_out
-            for src, dst in axis_map.items():
-                k_new[dst] = k[src]
-            _add_mode(out, new_mask, tuple(k_new), a, b)
-    return out
-
-
-def _dual_power(OD, j, dim, periods):
-    P = TorusForm.constant(dim, {0: 1.0}, periods)
-    D = TorusForm.from_multivector(OD, periods)
+def _dual_power(OD, j, periods):
+    P = FourierForm.constant(3, {0: 1.0}, periods)
+    D = FourierForm.from_multivector(OD, periods)
     for _ in range(j):
-        P = P.wedge(D)
+        P = derham.wedge(P, D)
     return P
 
 
@@ -283,37 +50,26 @@ def _graded_transform(alpha, j, X, fibre_axis, kept_axis, samples):
     OD, h = _flat_data(X)
     base_periods = X.periods if X.periods is not None else np.ones(3)
     want = np.array([base_periods[0], base_periods[fibre_axis]])
-    if np.max(np.abs(alpha.periods - want)) > 1e-12:
-        raise ValueError("input periods do not match the structure")
     if alpha.dim != 2:
         raise ValueError("input must live on a two-torus quotient")
+    if np.max(np.abs(np.subtract(alpha.periods, want))) > 1e-12:
+        raise ValueError("input periods do not match the structure")
 
-    # pull back to the total space
-    up = _reindex(alpha.terms, 3, {0: 0, 1: fibre_axis})
-    up_form = TorusForm(3, up, base_periods)
-    psi = _dual_power(OD, j, 3, base_periods).wedge(up_form)
-
+    up = derham.pull_back(alpha, kept_axis, base_periods[kept_axis])
+    psi = derham.wedge(_dual_power(OD, j, up.periods), up)
     length = float(np.sqrt(h[fibre_axis, fibre_axis])
                    * base_periods[fibre_axis])
-    integrated = _fibre_integrate(psi.terms, 3, fibre_axis, length, samples)
-
-    flags = []
-    out_table = {}
-    for mask, modes in integrated.items():
-        if mask & (1 << fibre_axis):
-            raise AssertionError("fibre axis survived integration")
-        out_table[mask] = modes
-    down = _reindex(out_table, 2, {0: 0, kept_axis: 1})
+    out = derham.fibre_integrate(psi, fibre_axis, length, samples)
 
     # degree bookkeeping: deg out = deg in + 2j - 1 per graded piece
+    flags = []
     for i in alpha.grades():
         target = i + 2 * j - 1
         if target < 0 or target > 2:
             flags.append(f"degree {i} maps outside the carrier "
                          f"(target {target}); contribution dropped")
-    out_periods = [base_periods[0], base_periods[kept_axis]]
-    return TorusForm(2, down, out_periods,
-                     note="; ".join(flags) if flags else None)
+    out.note = "; ".join(flags) if flags else None
+    return out
 
 
 def transform(alpha, j, X, samples=64):

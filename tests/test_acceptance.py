@@ -11,7 +11,7 @@ import selfdual.elliptic as el
 import selfdual.fiber_transform as fm
 import selfdual.liealg as liealg
 import selfdual.polylinear as pl
-from selfdual.fiber_transform import TorusForm
+from selfdual.derham import FourierForm
 
 
 def announce(capsys, num, name, ok, detail):
@@ -201,9 +201,9 @@ def test_criterion_7_fibre_transform(capsys):
     data, X = el.build_X(el.EllipticParams(1j, 1j))
 
     degree_exact = True
-    forms = {0: TorusForm.constant(2, {0: 1.0}),
-             1: TorusForm.constant(2, {0b01: 1.0}),
-             2: TorusForm.constant(2, {0b11: 1.0})}
+    forms = {0: FourierForm.constant(2, {0: 1.0}),
+             1: FourierForm.constant(2, {0b01: 1.0}),
+             2: FourierForm.constant(2, {0b11: 1.0})}
     for i, alpha in forms.items():
         for j in (0, 1, 2):
             out = fm.transform(alpha, j, X)
@@ -216,12 +216,12 @@ def test_criterion_7_fibre_transform(capsys):
     rng = np.random.default_rng(23)
     worst_lin = 0.0
     for _ in range(10):
-        table_a = {0: {(1, 0): tuple(rng.normal(size=2))},
-                   0b01: {(0, 2): tuple(rng.normal(size=2))}}
-        table_b = {0: {(0, 1): tuple(rng.normal(size=2))},
-                   0b10: {(1, 1): tuple(rng.normal(size=2))}}
-        a = TorusForm(2, table_a)
-        b = TorusForm(2, table_b)
+        table_a = {(1, 0): {0: tuple(rng.normal(size=2))},
+                   (0, 2): {0b01: tuple(rng.normal(size=2))}}
+        table_b = {(0, 1): {0: tuple(rng.normal(size=2))},
+                   (1, 1): {0b10: tuple(rng.normal(size=2))}}
+        a = FourierForm(2, table_a)
+        b = FourierForm(2, table_b)
         c1, c2 = rng.normal(size=2)
         for j in (0, 1):
             lhs = fm.transform(c1 * a + c2 * b, j, X)
@@ -229,12 +229,12 @@ def test_criterion_7_fibre_transform(capsys):
             worst_lin = max(worst_lin, (lhs - rhs).norm())
 
     hand = 0.0
-    out = fm.transform(TorusForm.constant(2, {0: 1.0}), 1, X)
-    hand = max(hand, (out - TorusForm.constant(2, {0b10: 1.0})).norm())
-    out = fm.transform(TorusForm.constant(2, {0b01: 1.0}), 1, X)
-    hand = max(hand, (out - TorusForm.constant(2, {0b11: -1.0})).norm())
-    out = fm.transform_back(TorusForm.constant(2, {0: 1.0}), 1, X)
-    hand = max(hand, (out - TorusForm.constant(2, {0b10: -1.0})).norm())
+    out = fm.transform(FourierForm.constant(2, {0: 1.0}), 1, X)
+    hand = max(hand, (out - FourierForm.constant(2, {0b10: 1.0})).norm())
+    out = fm.transform(FourierForm.constant(2, {0b01: 1.0}), 1, X)
+    hand = max(hand, (out - FourierForm.constant(2, {0b11: -1.0})).norm())
+    out = fm.transform_back(FourierForm.constant(2, {0: 1.0}), 1, X)
+    hand = max(hand, (out - FourierForm.constant(2, {0b10: -1.0})).norm())
 
     ok = degree_exact and worst_lin < 1e-10 and hand < 1e-12
     announce(capsys, 7, "fibre transform bookkeeping",

@@ -141,17 +141,16 @@ def test_out_file_and_timing_routing(capsys, tmp_path):
     assert "wall time" not in target.read_text()
 
 
-def test_all_collects_suites_deterministically(capsys, monkeypatch):
+def test_all_collects_suites_deterministically(capsys):
     code, rep = run_json(capsys, ["all"])
     assert code == 0
     assert [r["suite"] for r in rep["reports"]] == [
         "verify-pointwise", "mirror", "fm", "rep-check", "skaid-check"]
     main(["all"])
-    serial = capsys.readouterr().out
-    monkeypatch.setenv("SELFDUAL_THREADS", "4")
+    first = capsys.readouterr().out
     main(["all"])
-    threaded = capsys.readouterr().out
-    assert serial == threaded
+    second = capsys.readouterr().out
+    assert first == second
 
 
 def test_module_entry_point():

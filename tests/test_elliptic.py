@@ -64,17 +64,6 @@ def test_monodromy_angles():
     assert abs(data.theta_1 - 0.5) < 1e-15
 
 
-def test_alternative_monodromy_convention_not_invertible():
-    p = EllipticParams(0.2 + 2j, 0.4 + 3j)
-    data, _ = build_X(p, convention="im")
-    assert abs(data.theta_1 - 0.0) < 1e-15   # Im t = 3 wraps to 0
-    assert abs(data.theta_2 - 0.4) < 1e-15
-    with pytest.raises(ValueError):
-        recover_mirror_pair(data)
-    with pytest.raises(ValueError):
-        build_X(p, convention="nonsense")
-
-
 def test_recover_square_point_is_fixed():
     data, _ = build_X(EllipticParams(1j, 1j))
     first, second = recover_mirror_pair(data)

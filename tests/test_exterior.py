@@ -66,6 +66,16 @@ def test_wedge_matches_inversion_count_oracle():
         assert diff.norm() < 1e-12
 
 
+def test_wedge_sign_matches_inversion_count_oracle():
+    for dim in range(7):
+        for ma in range(1 << dim):
+            for mb in range(1 << dim):
+                if ma & mb:
+                    continue
+                want = bubble_sign(ext.mask_axes(ma) + ext.mask_axes(mb))
+                assert ext.wedge_sign(ma, mb) == want, (ma, mb)
+
+
 def test_wedge_of_covectors_is_pairing_determinant():
     rng = np.random.default_rng(1)
     for _ in range(50):

@@ -10,9 +10,10 @@ import pytest
 
 from selfdual import exterior as ext
 from selfdual.charts import FieldStructure, build_XY
+from selfdual.derham import FourierForm, d, wedge
 from selfdual.elliptic import EllipticParams, build_X
 from selfdual.fiber_transform import (
-    TorusForm, _trig_mul, full_transform, transform, transform_back,
+    full_transform, transform, transform_back,
 )
 from selfdual.exterior import Multivector
 
@@ -24,27 +25,27 @@ def X_square():
 
 
 def one_form(dim=2, periods=None):
-    return TorusForm.constant(dim, {0: 1.0}, periods)
+    return FourierForm.constant(dim, {0: 1.0}, periods)
 
 
 # ---------------------------------------------------------------------------
-# TorusForm algebra
+# trig-form algebra
 
 
 def test_mode_canonicalization():
-    f = TorusForm(2, {0: {(-1, 2): (3.0, 4.0)}})
-    assert f.terms == {0: {(1, -2): (3.0, -4.0)}}
-    g = TorusForm(2, {0: {(0, 0): (2.0, 5.0)}})
-    assert g.terms == {0: {(0, 0): (2.0, 0.0)}}
+    f = FourierForm(2, {(-1, 2): {0: (3.0, 4.0)}})
+    assert f.terms == {(1, -2): {0: (3.0, -4.0)}}
+    g = FourierForm(2, {(0, 0): {0: (2.0, 5.0)}})
+    assert g.terms == {(0, 0): {0: (2.0, 0.0)}}
 
 
 def test_torus_form_validation():
     with pytest.raises(ValueError):
-        TorusForm(2, {4: {(0, 0): 1.0}})
+        FourierForm(2, {(0, 0): {4: 1.0}})
     with pytest.raises(ValueError):
-        TorusForm(2, {0: {(0, 0, 0): 1.0}})
+        FourierForm(2, {(0, 0, 0): {0: 1.0}})
     with pytest.raises(ValueError):
-        TorusForm(2, {}, periods=[1.0, -1.0])
+        FourierForm(2, {}, periods=[1.0, -1.0])
 
 
 def test_trig_mul_against_grid():
@@ -53,9 +54,9 @@ def test_trig_mul_against_grid():
         def random_table():
             return {tuple(rng.integers(-3, 4, size=2)):
                     (rng.normal(), rng.normal()) for _ in range(4)}
-        f = TorusForm(2, {0: random_table()})
-        g = TorusForm(2, {0: random_table()})
-        fg = f.wedge(g)
+        f = FourierForm(2, {k: {0: ab} for k, ab in random_table().items()})
+        g = FourierForm(2, {k: {0: ab} for k, ab in random_table().items()})
+        fg = wedge(f, g)
         for pt in rng.uniform(0, 1, size=(10, 2)):
             want = f.evaluate(pt).coeff([]) * g.evaluate(pt).coeff([])
             got = fg.evaluate(pt).coeff([])
@@ -64,17 +65,23 @@ def test_trig_mul_against_grid():
 
 def test_wedge_of_one_forms_anticommutes():
     rng = np.random.default_rng(42)
-    table = lambda: {tuple(rng.integers(-2, 3, size=2)): (rng.normal(),
-                                                          rng.normal())}
-    f = TorusForm(2, {1: table(), 2: table()})
-    g = TorusForm(2, {1: table(), 2: table()})
-    lhs = f.wedge(g)
-    rhs = (-1.0) * g.wedge(f)
+
+    def one_form():
+        table = {}
+        for mask in (1, 2):
+            k = tuple(rng.integers(-2, 3, size=2))
+            table.setdefault(k, {})[mask] = (rng.normal(), rng.normal())
+        return FourierForm(2, table)
+
+    f = one_form()
+    g = one_form()
+    lhs = wedge(f, g)
+    rhs = (-1.0) * wedge(g, f)
     assert (lhs - rhs).norm() < 1e-12
 
 
 def test_evaluate_respects_periods():
-    f = TorusForm(2, {0: {(1, 0): (1.0, 0.0)}}, periods=[2.0, 1.0])
+    f = FourierForm(2, {(1, 0): {0: (1.0, 0.0)}}, periods=[2.0, 1.0])
     assert abs(f.evaluate([0.5, 0.0]).coeff([]) - np.cos(np.pi / 2)) < 1e-15
     assert abs(f.evaluate([2.0, 0.3]).coeff([]) - 1.0) < 1e-15
 
@@ -85,13 +92,13 @@ def test_evaluate_respects_periods():
 
 def test_transform_of_constant_one():
     out = transform(one_form(), 1, X_square())
-    assert out.terms == {0b10: {(0, 0): (1.0, 0.0)}}   # +dy2
+    assert out.terms == {(0, 0): {0b10: (1.0, 0.0)}}   # +dy2
 
 
 def test_transform_of_dx():
-    alpha = TorusForm.constant(2, {0b01: 1.0})
+    alpha = FourierForm.constant(2, {0b01: 1.0})
     out = transform(alpha, 1, X_square())
-    assert out.terms == {0b11: {(0, 0): (-1.0, 0.0)}}  # -dx^dy2
+    assert out.terms == {(0, 0): {0b11: (-1.0, 0.0)}}  # -dx^dy2
 
 
 def test_degree_floor_flagged():
@@ -102,8 +109,8 @@ def test_degree_floor_flagged():
 
 def test_degree_bookkeeping_exhaustive():
     X = X_square()
-    forms = {0: one_form(), 1: TorusForm.constant(2, {0b10: 1.0}),
-             2: TorusForm.constant(2, {0b11: 1.0})}
+    forms = {0: one_form(), 1: FourierForm.constant(2, {0b10: 1.0}),
+             2: FourierForm.constant(2, {0b11: 1.0})}
     for i, alpha in forms.items():
         for j in (0, 1, 2):
             out = transform(alpha, j, X)
@@ -118,9 +125,9 @@ def test_round_trip_signs_per_grade():
     X = X_square()
     cases = {
         "scalar": (one_form(), 1.0),
-        "dx": (TorusForm.constant(2, {0b01: 1.0}), 1.0),
-        "dy": (TorusForm.constant(2, {0b10: 1.0}), -1.0),
-        "top": (TorusForm.constant(2, {0b11: 1.0}), -1.0),
+        "dx": (FourierForm.constant(2, {0b01: 1.0}), 1.0),
+        "dy": (FourierForm.constant(2, {0b10: 1.0}), -1.0),
+        "top": (FourierForm.constant(2, {0b11: 1.0}), -1.0),
     }
     for name, (alpha, expected) in cases.items():
         back = full_transform(full_transform(alpha, X), X, back=True)
@@ -134,8 +141,8 @@ def test_round_trip_unit_magnitude_any_parameters():
         tau = complex(rng.uniform(0, 1), rng.uniform(0.2, 5))
         t = complex(rng.uniform(0, 1), rng.uniform(0.2, 5))
         data, X = build_X(EllipticParams(tau, t))
-        alpha = TorusForm.constant(2, {0: 1.0},
-                                   periods=[X.periods[0], 1.0])
+        alpha = FourierForm.constant(2, {0: 1.0},
+                                     periods=[X.periods[0], 1.0])
         back = full_transform(full_transform(alpha, X), X, back=True)
         assert (back - alpha).norm() < 1e-12
 
@@ -146,14 +153,14 @@ def test_output_scales_with_fibre_length():
         p = EllipticParams(complex(0, rng.uniform(0.2, 5)),
                            complex(0, rng.uniform(0.2, 5)))
         data, X = build_X(p)
-        alpha = TorusForm.constant(2, {0: 1.0}, periods=[p.tau2, 1.0])
+        alpha = FourierForm.constant(2, {0: 1.0}, periods=[p.tau2, 1.0])
         out = transform(alpha, 1, X)
-        coeff = out.terms[0b10][(0, 0)][0]
+        coeff = out.terms[(0, 0)][0b10][0]
         assert abs(coeff - data.ell_2) < 1e-12
-        beta = TorusForm.constant(2, {0: 1.0}, periods=[p.tau2, 1.0])
+        beta = FourierForm.constant(2, {0: 1.0}, periods=[p.tau2, 1.0])
         back = transform_back(beta, 1, X)
         # back direction picks up the conventional sign flip
-        assert abs(back.terms[0b10][(0, 0)][0] + data.ell_1) < 1e-12
+        assert abs(back.terms[(0, 0)][0b10][0] + data.ell_1) < 1e-12
 
 
 def test_linearity():
@@ -163,9 +170,10 @@ def test_linearity():
     def random_form():
         table = {}
         for mask in (0, 1, 2, 3):
-            table[mask] = {tuple(rng.integers(-3, 4, size=2)):
-                           (rng.normal(), rng.normal()) for _ in range(3)}
-        return TorusForm(2, table)
+            for _ in range(3):
+                k = tuple(rng.integers(-3, 4, size=2))
+                table.setdefault(k, {})[mask] = (rng.normal(), rng.normal())
+        return FourierForm(2, table)
 
     a, b = 0.7, -1.3
     f, g = random_form(), random_form()
@@ -178,9 +186,31 @@ def test_linearity():
     assert (lhs - rhs).norm() < 1e-10
 
 
+def test_transform_anticommutes_with_d():
+    # fibre integration with the tangent in the first slot: S d = -d S.
+    # Base periods Im tau != 1 run d off the unit torus; the 2 pi k/P
+    # factor itself is pinned by the finite-difference test of d.
+    rng = np.random.default_rng(48)
+    nonzero = total = 0
+    for _ in range(20):
+        tau = complex(rng.uniform(0, 1), rng.uniform(0.2, 5))
+        t = complex(rng.uniform(0, 1), rng.uniform(0.2, 5))
+        _, X = build_X(EllipticParams(tau, t))
+        alpha = FourierForm(2, FourierForm.random(rng, 2, 1).terms,
+                            periods=[X.periods[0], 1.0])
+        for step in (transform, transform_back):
+            for j in (0, 1):
+                lhs = step(d(alpha), j, X)
+                rhs = (-1.0) * d(step(alpha, j, X))
+                assert (lhs - rhs).norm() < 1e-12 * max(1.0, lhs.norm())
+                nonzero += lhs.norm() > 1e-6
+                total += 1
+    assert nonzero > total // 2
+
+
 def test_zero_form_maps_to_zero():
     X = X_square()
-    z = TorusForm.zero(2)
+    z = FourierForm(2)
     for j in (0, 1):
         assert transform(z, j, X).terms == {}
         assert transform_back(z, j, X).terms == {}
@@ -215,9 +245,9 @@ def brute_force_transform(alpha, j, X, x, y2, samples=400):
 def test_brute_force_oracle_matches():
     X = X_square()
     rng = np.random.default_rng(46)
-    table = {0: {(2, 0): (0.7, 0.0)}, 1: {(1, 0): (0.3, 0.4)},
-             2: {(0, 0): (1.1, 0.0)}, 3: {(3, 0): (0.0, 0.5)}}
-    alpha = TorusForm(2, table)
+    table = {(2, 0): {0: (0.7, 0.0)}, (1, 0): {1: (0.3, 0.4)},
+             (0, 0): {2: (1.1, 0.0)}, (3, 0): {3: (0.0, 0.5)}}
+    alpha = FourierForm(2, table)
     for j in (0, 1):
         out = transform(alpha, j, X)
         for x in rng.uniform(0, 1, size=3):
@@ -237,7 +267,7 @@ def test_brute_force_oracle_matches():
 
 def test_fibre_frequencies_average_out():
     X = X_square()
-    alpha = TorusForm(2, {2: {(0, 1): (1.0, 0.5)}})   # dy1 with y1-dependence
+    alpha = FourierForm(2, {(0, 1): {2: (1.0, 0.5)}})  # dy1 with y1-dependence
     out = transform(alpha, 0, X)
     assert out.terms == {}
 
@@ -245,10 +275,12 @@ def test_fibre_frequencies_average_out():
 def test_refinement_stability_below_nyquist():
     X = X_square()
     rng = np.random.default_rng(47)
-    table = {mask: {(int(rng.integers(-8, 9)), int(rng.integers(-8, 9))):
-                    (rng.normal(), rng.normal()) for _ in range(4)}
-             for mask in (0, 1, 2, 3)}
-    alpha = TorusForm(2, table)
+    table = {}
+    for mask in (0, 1, 2, 3):
+        for _ in range(4):
+            k = (int(rng.integers(-8, 9)), int(rng.integers(-8, 9)))
+            table.setdefault(k, {})[mask] = (rng.normal(), rng.normal())
+    alpha = FourierForm(2, table)
     for j in (0, 1):
         coarse = transform(alpha, j, X, samples=64)
         fine = transform(alpha, j, X, samples=128)
@@ -258,10 +290,10 @@ def test_refinement_stability_below_nyquist():
 def test_aliasing_is_real_quadrature():
     # a fibre frequency equal to the sample count folds onto the mean
     X = X_square()
-    alpha = TorusForm(2, {2: {(0, 16): (1.0, 0.0)}})
+    alpha = FourierForm(2, {(0, 16): {2: (1.0, 0.0)}})
     aliased = transform(alpha, 0, X, samples=16)
     resolved = transform(alpha, 0, X, samples=64)
-    assert abs(aliased.terms[0][(0, 0)][0] - 1.0) < 1e-12
+    assert abs(aliased.terms[(0, 0)][0][0] - 1.0) < 1e-12
     assert resolved.terms == {}
 
 
@@ -273,7 +305,7 @@ def test_period_mismatch_rejected():
     _, X = build_X(EllipticParams(2j, 1j))
     with pytest.raises(ValueError):
         transform(one_form(), 1, X)              # base period is 2
-    ok = TorusForm.constant(2, {0: 1.0}, periods=[2.0, 1.0])
+    ok = FourierForm.constant(2, {0: 1.0}, periods=[2.0, 1.0])
     transform(ok, 1, X)
 
 
@@ -282,7 +314,7 @@ def test_non_flat_structure_rejected():
     pot = PolynomialPotential(1, {(4,): 1.0 / 12.0, (2,): 0.5})
     C = PotentialChart(pot, [(-1.0, 1.0)])
     F = build_XY(C)
-    alpha = TorusForm.constant(2, {0: 1.0}, periods=[1.0, 1.0])
+    alpha = FourierForm.constant(2, {0: 1.0}, periods=[1.0, 1.0])
     with pytest.raises(ValueError, match="constant"):
         transform(alpha, 1, F)
 
@@ -290,7 +322,7 @@ def test_non_flat_structure_rejected():
 def test_higher_rank_not_implemented():
     Z = np.zeros((6, 6))
     F = FieldStructure.constant(2, Z, Z, Z, np.eye(6))
-    alpha = TorusForm.constant(2, {0: 1.0})
+    alpha = FourierForm.constant(2, {0: 1.0})
     with pytest.raises(NotImplementedError):
         transform(alpha, 1, F)
 
