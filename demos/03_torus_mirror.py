@@ -31,6 +31,6 @@ for row in rows:
           f"{row['ell_expanding']:8.4f}  {row['length_product']:.4f}")
 
 # The full battery: closure, parallelism, unit volume, rotations.
-rep = el.selfdual_full_check(p)
-for name, row in rep["checks"].items():
-    print(f"{name}: residual {row['residual']:.2e} pass {row['pass']}")
+for check in el.selfdual_full_check(p):
+    print(f"{check['id']}: residual {check['residual']:.2e} "
+          f"{check['verdict']}")

@@ -23,14 +23,13 @@ M = liealg.L(n, 0, 1, s=1)
 print("single-pairing dimension:", liealg.generated_dimension([M, M.T]))
 
 # the five bracket identity families, worst residual each
-for row in liealg.verify_commutations(n):
-    print(f"family {row['family']}: {row['cases']} cases, "
-          f"residual {row['residual']:.1e}")
+for check in liealg.verify_commutations(n):
+    print(f"{check['anchor']}: residual {check['residual']:.1e}")
 
 # a Chevalley system for the closed algebra
-rows = liealg.verify_chevalley(n)
-print("chevalley families:", len(rows),
-      " all pass:", all(r["pass"] for r in rows))
+checks = liealg.verify_chevalley(n)
+print("chevalley families:", len(checks),
+      " all pass:", all(c["verdict"] == "PASS" for c in checks))
 
 # sample bracket: [L(0,2), L(bar2,1)] = L(0,1)
 got = liealg.commutator(liealg.L(n, 0, 2),

@@ -34,9 +34,8 @@ res = (derham.apply_operator(M, derham.laplacian(G))
 print("commutation with laplacian:", res)
 
 # the four identity families on random forms
-rep = derham.verify_skaid(1, 3, samples=25)
-for row in rep["rows"]:
-    print(f"{row['identity']}: {row['residual']:.1e}")
+for check in derham.verify_skaid(1, 3, samples=25):
+    print(f"{check['anchor']}: {check['residual']:.1e}")
 
 # zero-frequency modes carry the operator algebra without change
 A = derham.harmonic_action(1, 0, 1)

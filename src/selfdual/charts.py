@@ -17,6 +17,7 @@ from scipy.stats import qmc
 
 from . import exterior as ext
 from . import polylinear as pl
+from . import report as rp
 from .exterior import GeometryError, Multivector
 from .jets import jet_matrix_inverse, jet_space, variables
 
@@ -472,21 +473,23 @@ def exterior_derivative(F, p, method="ad", step=1e-4, richardson=False):
 
 
 def verify_weak_selfdual(F, grid, tol=1e-8):
-    """Max norm of d(omega_D) over the grid; the two pairings reported too."""
-    worst = {"omega1": 0.0, "omega2": 0.0, "omegaD": 0.0}
-    pts = np.atleast_2d(np.asarray(grid, dtype=float))
-    for p in pts:
-        for name in worst:
-            val = exterior_derivative(F.field(name), p).norm()
-            worst[name] = max(worst[name], val)
-    return {
-        "points": int(pts.shape[0]),
-        "max_d_omega1": worst["omega1"],
-        "max_d_omega2": worst["omega2"],
-        "max_d_omegaD": worst["omegaD"],
-        "threshold": tol,
-        "pass": worst["omegaD"] < tol,
-    }
+    """Closure of the dual form and of the two pairings over the grid.
+
+    Returns the check records `dual-form-closed`, `pairing-1-closed` and
+    `pairing-2-closed`: the max norm of each exterior derivative.
+    """
+    norms = {"omega1": [], "omega2": [], "omegaD": []}
+    for p in np.atleast_2d(np.asarray(grid, dtype=float)):
+        for name, values in norms.items():
+            values.append(exterior_derivative(F.field(name), p).norm())
+    return [rp.check(check_id, anchor, rp.worst(norms[name]), tol)
+            for name, check_id, anchor in (
+                ("omegaD", "dual-form-closed", "exterior derivative of the "
+                 "dual pairing field over the sample grid"),
+                ("omega1", "pairing-1-closed", "exterior derivative of the "
+                 "first pairing field"),
+                ("omega2", "pairing-2-closed", "exterior derivative of the "
+                 "second pairing field"))]
 
 
 def fibre_volume_product(g):
@@ -657,13 +660,14 @@ def leaf_integrability_check(F, p, which=("omega1", "omega2"), step=1e-5,
             J[:, c] = (Z(i, p + ec) - Z(i, p - ec)) / (2 * step)
         jac.append(J)
 
-    residual = 0.0
-    for a in range(len(frames)):
-        for b in range(a + 1, len(frames)):
-            bracket = jac[b] @ Z0[:, a] - jac[a] @ Z0[:, b]
-            leak = np.linalg.norm(bracket - Pi @ bracket)
-            scale = max(1.0, np.linalg.norm(Z0[:, a]) * np.linalg.norm(Z0[:, b]))
-            residual = max(residual, float(leak / scale))
+    def leak(a, b):
+        bracket = jac[b] @ Z0[:, a] - jac[a] @ Z0[:, b]
+        scale = max(1.0, np.linalg.norm(Z0[:, a]) * np.linalg.norm(Z0[:, b]))
+        return np.linalg.norm(bracket - Pi @ bracket) / scale
+
+    # the 0.0 stands for a single frame field, which has no brackets
+    residual = rp.worst([0.0] + [leak(a, b) for a in range(len(frames))
+                                 for b in range(a + 1, len(frames))])
     return {"integrable": residual < tol, "residual": residual,
             "dimension": rank}
 

@@ -29,11 +29,18 @@ class ConfigError(Exception):
 
 
 def parse_complex(text):
-    """Accept 'a+bi' flag values ('0+1i', '2.5', '-i', '1e-3i')."""
+    """Accept 'a+bi' flag values ('0+1i', '2.5', '-i', '1e-3i'); both
+    parts must be finite."""
+    body = text.strip()
+    if body[-1:] in ("i", "I"):
+        body = body[:-1] + "j"
     try:
-        return complex(text.strip().replace("i", "j").replace("I", "J"))
+        z = complex(body)
     except ValueError:
-        raise ConfigError(f"cannot parse complex number {text!r}")
+        raise ConfigError(f"cannot parse complex number {text!r}") from None
+    if not np.isfinite(z):
+        raise ConfigError(f"complex number {text!r} is not finite")
+    return z
 
 
 def _random_frame(rng, d):
@@ -59,7 +66,7 @@ def suite_verify_pointwise(n, s, trials, seed, tol_rank):
         res = B.normal_form_residual(P)
         scale = max(float(np.max(np.abs(A))) for A in P.matrices)
         if s == 2:
-            res = max(res, pl.is_compatible(P).residual)
+            res = rp.worst([res, pl.is_compatible(P).residual])
         checks.append(rp.check(
             f"pointwise-{trial:03d}",
             "random frame reduced to the simultaneous normal form, "
@@ -71,40 +78,34 @@ def suite_verify_pointwise(n, s, trials, seed, tol_rank):
 
 
 def suite_affine_check(chart_path, points, seed, tol_field):
-    with open(chart_path) as fh:
-        cfg = json.load(fh)
-    chart, raw = ch.chart_from_config(cfg)
+    try:
+        with open(chart_path) as fh:
+            chart, raw = ch.chart_from_config(json.load(fh))
+    except (OSError, ValueError, KeyError, TypeError, AttributeError,
+            ch.GeometryError) as exc:
+        raise ConfigError(f"chart config {chart_path}: {exc}") from None
     count = int(points if points is not None
                 else raw.get("grid_size", 100))
+    if count < 1:
+        raise ConfigError("the grid needs at least one point")
     F = ch.build_XY(chart)
     grid = ch.chart_grid(chart, count, seed=seed)
-    rep = ch.verify_weak_selfdual(F, grid, tol=tol_field)
-    checks = [
-        rp.check("dual-form-closed", "exterior derivative of the dual "
-                 "pairing field over the sample grid",
-                 rep["max_d_omegaD"], tol_field),
-        rp.check("pairing-1-closed", "exterior derivative of the first "
-                 "pairing field", rep["max_d_omega1"], tol_field),
-        rp.check("pairing-2-closed", "exterior derivative of the second "
-                 "pairing field", rep["max_d_omega2"], tol_field),
-    ]
-    vol_res = 0.0
-    compat_res = 0.0
+    checks = ch.verify_weak_selfdual(F, grid, tol=tol_field)
+    volume, compat = [], []
     for p in grid[: min(20, len(grid))]:
         g = ch.hessian_metric(chart, p[: chart.n], check_fd=False)
-        vol_res = max(vol_res, abs(ch.fibre_volume_product(g) - 1.0))
-        compat_res = max(compat_res,
-                         pl.is_compatible(F.structure_at(p)).residual)
+        volume.append(abs(ch.fibre_volume_product(g) - 1.0))
+        compat.append(pl.is_compatible(F.structure_at(p)).residual)
     checks.append(rp.check(
         "fibre-volume-product", "product of the leaf volume and the dual "
-        "leaf volume", vol_res, 1e-10))
+        "leaf volume", rp.worst(volume), 1e-10))
     checks.append(rp.check(
         "pointwise-compatibility", "orthonormal witness at sample points",
-        compat_res, 1e-9))
+        rp.worst(compat), 1e-9))
     data = {
         "chart": os.path.basename(chart_path),
         "dimensions": chart.n,
-        "grid_points": rep["points"],
+        "grid_points": len(grid),
         "monge_ampere_residual": ch.monge_ampere_residual(
             chart, grid[:, : chart.n] if grid.ndim == 2 else grid),
     }
@@ -117,20 +118,16 @@ def suite_mirror(tau, t, tol):
     p = el.EllipticParams(tau, t)
     data, F = el.build_X(p)
     first, second = el.recover_mirror_pair(data)
-    full = el.selfdual_full_check(p)
-    round_trip = max(
+    round_trip = rp.worst([
         abs(first.tau.imag - p.tau2), abs(first.t.imag - p.t2),
-        abs(first.tau.real - p.tau1 % 1.0), abs(first.t.real - p.t1 % 1.0))
+        abs(first.tau.real - p.tau1 % 1.0), abs(first.t.real - p.t1 % 1.0)])
     checks = [
         rp.check("mirror-round-trip", "parameters recovered from the "
                  "torus invariants", round_trip, tol),
         rp.check("unit-volume", "product of the two fibre lengths",
                  abs(data.ell_1 * data.ell_2 - 1.0), tol),
+        *el.selfdual_full_check(p),
     ]
-    for name, row in full["checks"].items():
-        checks.append(rp.check(
-            f"full-{name}", name.replace("_", " "),
-            row["residual"], 1e-8 if name == "rotations_selfdual" else 1e-10))
     payload = {
         "invariants": {
             "base_length": data.base_length,
@@ -158,16 +155,22 @@ def _parse_alpha(text, base_period):
     periods = [base_period, 1.0]
     text = text.strip()
     if text.startswith("{"):
-        raw = json.loads(text)
-        table = {}
-        for row in raw.get("terms", []):
-            mask = 0
-            for axis in row.get("axes", []):
-                mask |= 1 << int(axis)
-            k = tuple(row.get("freq", [0, 0]))
-            table.setdefault(k, {})[mask] = (float(row.get("cos", 0.0)),
-                                             float(row.get("sin", 0.0)))
-        return derham.FourierForm(2, table, periods)
+        try:
+            table = {}
+            for row in json.loads(text).get("terms", []):
+                mask = 0
+                for axis in map(int, row.get("axes", [])):
+                    if axis not in (0, 1):
+                        raise ValueError(f"axis {axis} outside 0..1")
+                    mask |= 1 << axis
+                k = tuple(map(int, row.get("freq", [0, 0])))
+                ab = (float(row.get("cos", 0.0)), float(row.get("sin", 0.0)))
+                if not np.all(np.isfinite(ab)):
+                    raise ValueError("coefficients must be finite")
+                table.setdefault(k, {})[mask] = ab
+            return derham.FourierForm(2, table, periods)
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad form table: {exc}") from None
     masks = {"1": 0, "dx": 0b01, "dy1": 0b10, "dy2": 0b10,
              "dx^dy1": 0b11, "dx^dy2": 0b11}
     if text not in masks:
@@ -179,6 +182,11 @@ def suite_fm(tau, t, alpha_spec, j, samples):
     p = el.EllipticParams(tau, t)
     _, X = el.build_X(p)
     alpha = _parse_alpha(alpha_spec, p.tau2)
+    # the trapezoid rule over the fibre is exact only below Nyquist
+    fibre_freq = max((abs(k[1]) for k in alpha.terms), default=0)
+    if samples <= fibre_freq:
+        raise ConfigError(f"samples must exceed the input's largest fibre "
+                          f"frequency {fibre_freq}")
     out = fm.transform(alpha, j, X, samples=samples)
     refined = fm.transform(alpha, j, X, samples=2 * samples)
     diff = (out - refined).norm()
@@ -203,18 +211,8 @@ def suite_fm(tau, t, alpha_spec, j, samples):
 
 
 def suite_rep_check(n, tol_identity):
-    checks = []
-    for row in liealg.verify_commutations(n, tol=tol_identity):
-        checks.append(rp.check(
-            f"bracket-family-{row['family']}",
-            f"bracket identity family {row['family']} over "
-            f"{row['cases']} index tuples",
-            row["residual"], tol_identity))
-    for row in liealg.verify_chevalley(n, tol=tol_identity):
-        checks.append(rp.check(
-            "chevalley-" + row["relation"].split()[0].strip("[]").replace(
-                ",", "-"),
-            row["relation"], row["residual"], tol_identity))
+    checks = (liealg.verify_commutations(n, tol=tol_identity)
+              + liealg.verify_chevalley(n, tol=tol_identity))
     gens = []
     for (a, b) in ((0, 1), (0, 2), (1, 2)):
         M = liealg.L(n, a, b)
@@ -234,19 +232,15 @@ def suite_rep_check(n, tol_identity):
 
 
 def suite_skaid(n, N, samples, seed, tol):
-    rep = derham.verify_skaid(n, N, samples=samples, seed=seed, tol=tol)
-    checks = []
-    for i, row in enumerate(rep["rows"], start=1):
-        checks.append(rp.check(
-            f"identity-{i}", row["identity"], row["residual"], tol))
-    worst = 0.0
-    for (a, b) in ((0, 1), (1, 2), (liealg.bar(0), liealg.bar(1))):
-        induced = derham.harmonic_action(n, a, b)
-        worst = max(worst, float(np.max(np.abs(
-            induced - liealg.L(n, a, b)))))
+    checks = derham.verify_skaid(n, N, samples=samples, seed=seed, tol=tol)
     checks.append(rp.check(
         "harmonic-invariance", "zero-frequency subspace carries the "
-        "operator algebra unchanged", worst, 1e-15))
+        "operator algebra unchanged",
+        rp.worst(np.max(np.abs(derham.harmonic_action(n, a, b)
+                               - liealg.L(n, a, b)))
+                 for (a, b) in ((0, 1), (1, 2),
+                                (liealg.bar(0), liealg.bar(1)))),
+        1e-15))
     config = {"n": n, "N": N, "samples": samples, "seed": seed, "tol": tol}
     return rp.make_report("skaid-check", config, checks)
 
@@ -259,22 +253,16 @@ def suite_all(seed, tols):
         suite_rep_check(1, tols["identity"]),
         suite_skaid(1, 3, 20, seed, 1e-10),
     ]
-    ok = all(r["pass"] for r in reports)
-    return {
-        "suite": "all",
-        "schema_version": rp.SCHEMA_VERSION,
-        "conventions": rp.CONVENTIONS,
-        "config": {"seed": seed},
-        "reports": reports,
-        "pass": ok,
-    }
+    return rp.make_bundle("all", {"seed": seed}, reports)
 
 
 # ---------------------------------------------------------------------------
 # argument handling
 
 
-def build_parser():
+def _common_flags():
+    # a fresh parent per subcommand: argparse shares a parent's actions,
+    # so one subcommand's set_defaults would move every other default
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the JSON report here instead "
                                       "of stdout")
@@ -284,31 +272,34 @@ def build_parser():
     common.add_argument("--tol-rank", type=float, default=1e-10)
     common.add_argument("--tol-identity", type=float, default=1e-12)
     common.add_argument("--tol-field", type=float, default=1e-8)
+    return common
 
+
+def build_parser():
     parser = argparse.ArgumentParser(
         prog="selfdual",
         description="verification suites for the layered torus geometry "
                     "package")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("verify-pointwise", parents=[common],
+    sp = sub.add_parser("verify-pointwise", parents=[_common_flags()],
                         help="random-frame normal form and witness checks")
     sp.add_argument("--n", type=int, default=2)
     sp.add_argument("--s", type=int, default=2)
     sp.add_argument("--trials", type=int, default=100)
 
-    sp = sub.add_parser("affine-check", parents=[common],
+    sp = sub.add_parser("affine-check", parents=[_common_flags()],
                         help="field-level closure checks for a chart config")
     sp.add_argument("--chart", required=True)
     sp.add_argument("--points", type=int, default=None,
                     help="grid size; defaults to the config's grid_size")
 
-    sp = sub.add_parser("mirror", parents=[common],
+    sp = sub.add_parser("mirror", parents=[_common_flags()],
                         help="torus invariants and recovery")
     sp.add_argument("--tau", required=True)
     sp.add_argument("--t", required=True)
 
-    sp = sub.add_parser("fm", parents=[common],
+    sp = sub.add_parser("fm", parents=[_common_flags()],
                         help="fibrewise integral transform tables")
     sp.add_argument("--tau", required=True)
     sp.add_argument("--t", required=True)
@@ -316,17 +307,18 @@ def build_parser():
     sp.add_argument("--j", type=int, default=1)
     sp.add_argument("--samples", type=int, default=64)
 
-    sp = sub.add_parser("rep-check", parents=[common],
+    sp = sub.add_parser("rep-check", parents=[_common_flags()],
                         help="bracket identities and closure")
     sp.add_argument("--n", type=int, default=2)
 
-    sp = sub.add_parser("skaid-check", parents=[common],
+    sp = sub.add_parser("skaid-check", parents=[_common_flags()],
                         help="commutation identities on the Fourier complex")
     sp.add_argument("--n", type=int, default=1)
     sp.add_argument("--N", type=int, default=4)
     sp.add_argument("--samples", type=int, default=50)
+    sp.set_defaults(tol_identity=1e-10)
 
-    sub.add_parser("all", parents=[common],
+    sub.add_parser("all", parents=[_common_flags()],
                    help="every suite at default sizes")
     return parser
 
@@ -334,25 +326,21 @@ def build_parser():
 def run(args):
     tols = {"rank": args.tol_rank, "identity": args.tol_identity,
             "field": args.tol_field}
-    if min(tols.values()) <= 0:
-        raise ConfigError("tolerances must be positive")
+    if not all(0 < tol < np.inf for tol in tols.values()):
+        raise ConfigError("tolerances must be positive and finite")
     cmd = args.command
     if cmd == "verify-pointwise":
-        if args.n < 1 or args.s < 1:
-            raise ConfigError("n and s must be at least 1")
+        if min(args.n, args.s, args.trials) < 1:
+            raise ConfigError("n, s and trials must be at least 1")
         return suite_verify_pointwise(args.n, args.s, args.trials,
                                       args.seed, tols["rank"])
     if cmd == "affine-check":
-        if not os.path.exists(args.chart):
-            raise ConfigError(f"chart config not found: {args.chart}")
         return suite_affine_check(args.chart, args.points, args.seed,
                                   tols["field"])
     if cmd == "mirror":
         return suite_mirror(parse_complex(args.tau), parse_complex(args.t),
                             tols["identity"])
     if cmd == "fm":
-        if args.j < 0:
-            raise ConfigError("j must be nonnegative")
         return suite_fm(parse_complex(args.tau), parse_complex(args.t),
                         args.alpha, args.j, args.samples)
     if cmd == "rep-check":
@@ -362,10 +350,11 @@ def run(args):
     if cmd == "skaid-check":
         if not 1 <= args.n <= 2:
             raise ConfigError("skaid-check supports n in 1..2")
-        return suite_skaid(args.n, args.N, args.samples, args.seed, 1e-10)
-    if cmd == "all":
-        return suite_all(args.seed, tols)
-    raise ConfigError(f"unknown command {cmd!r}")
+        if args.samples < 1:
+            raise ConfigError("samples must be at least 1")
+        return suite_skaid(args.n, args.N, args.samples, args.seed,
+                           tols["identity"])
+    return suite_all(args.seed, tols)
 
 
 def main(argv=None):

@@ -18,6 +18,7 @@ import numpy as np
 from . import charts as ch
 from . import exterior as ext
 from . import polylinear as pl
+from . import report as rp
 
 SELF_DUAL_TOL = 1e-9
 
@@ -43,6 +44,10 @@ class EllipticParams:
     def __post_init__(self):
         object.__setattr__(self, "tau", _check_upper(self.tau, "tau"))
         object.__setattr__(self, "t", _check_upper(self.t, "t"))
+        # the metric carries Im t / Im tau and its inverse
+        scale = self.t.imag / self.tau.imag
+        if not (0 < scale < np.inf and 1 / scale < np.inf):
+            raise ValueError("Im t / Im tau leaves the floating-point range")
 
     @property
     def tau1(self):
@@ -211,13 +216,17 @@ def _fibre_lengths(F, point):
     return out
 
 
-def selfdual_full_check(p, fibre_scale=(1.0, 1.0), tol=1e-10):
+def selfdual_full_check(p, fibre_scale=(1.0, 1.0)):
     """Run the closure, parallelism, unit-volume and rotation checks.
 
-    fibre_scale multiplies the two fibre metric blocks before checking;
-    anything but (1, 1) is fault injection for exercising the report.
+    Returns the check records `full-closed_forms`,
+    `full-covariant_constancy`, `full-unit_fibre_volume` and
+    `full-rotations_selfdual`. A rotation that leaves the compatible
+    structures gives an infinite residual. fibre_scale multiplies the
+    two fibre metric blocks before checking; anything but (1, 1) is
+    fault injection for exercising the report.
     """
-    data, F = build_X(p)
+    _, F = build_X(p)
     point = np.array([0.1, 0.2, 0.3])
     h = F.h.at(point)
     h = h.copy()
@@ -228,36 +237,25 @@ def selfdual_full_check(p, fibre_scale=(1.0, 1.0), tol=1e-10):
     OD = ext.form_to_matrix(F.omegaD.at(point))
     Fs = ch.FieldStructure.constant(1, O1, O2, OD, h, periods=F.periods)
 
-    checks = {}
-    d_res = max(ch.exterior_derivative(Fs.field(name), point).norm()
-                for name in ("omega1", "omega2", "omegaD"))
-    checks["closed_forms"] = {"residual": d_res, "pass": d_res < tol}
-
-    cov = max(ch.covariant_constancy(Fs, point))
-    checks["covariant_constancy"] = {"residual": cov, "pass": cov < tol}
-
+    d_res = rp.worst(ch.exterior_derivative(Fs.field(name), point).norm()
+                     for name in ("omega1", "omega2", "omegaD"))
+    cov = rp.worst(ch.covariant_constancy(Fs, point))
     l1, l2 = _fibre_lengths(Fs, point)
-    vol_res = abs(l1 * l2 - 1.0)
-    checks["unit_fibre_volume"] = {"residual": vol_res,
-                                   "pass": vol_res < SELF_DUAL_TOL}
 
     P = Fs.structure_at(point)
-    rot_ok = True
-    rot_res = 0.0
     try:
-        for mode in ("D1", "2D"):
-            Q = pl.rotate_structure(P, mode)
-            rot_res = max(rot_res, pl.is_compatible(Q).residual)
-        QQ = pl.rotate_structure(pl.rotate_structure(P, "D1"), "D1")
-        rot_res = max(rot_res, pl.is_compatible(QQ).residual)
+        rotated = [pl.rotate_structure(P, "D1"), pl.rotate_structure(P, "2D"),
+                   pl.rotate_structure(pl.rotate_structure(P, "D1"), "D1")]
+        rot_res = rp.worst(pl.is_compatible(Q).residual for Q in rotated)
     except (pl.NotCompatible, ext.GeometryError):
-        rot_ok = False
-    checks["rotations_selfdual"] = {"residual": rot_res,
-                                    "pass": rot_ok and rot_res < 1e-8}
+        rot_res = np.inf
 
-    return {
-        "params": {"tau": p.tau, "t": p.t},
-        "invariants": data,
-        "checks": checks,
-        "pass": all(c["pass"] for c in checks.values()),
-    }
+    return [
+        rp.check("full-closed_forms", "closed forms", d_res, 1e-10),
+        rp.check("full-covariant_constancy", "covariant constancy", cov,
+                 1e-10),
+        rp.check("full-unit_fibre_volume", "unit fibre volume",
+                 abs(l1 * l2 - 1.0), 1e-10),
+        rp.check("full-rotations_selfdual", "rotations selfdual", rot_res,
+                 1e-8),
+    ]

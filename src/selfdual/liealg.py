@@ -11,6 +11,7 @@ in its orthonormal standard frame.
 import numpy as np
 
 from . import exterior as ext
+from . import report as rp
 
 CARTAN_A3 = np.array([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
 
@@ -175,17 +176,16 @@ def relation_domains(s=2):
     return doms
 
 
-def verify_commutations(n, s=2, tol=1e-12, families=(1, 2, 3, 4, 5)):
+def verify_commutations(n, s=2, tol=1e-12):
     """Sweep the five bracket identities over their index domains.
 
-    Returns a list of rows {family, indices, residual, pass}; each row
-    is the worst residual within the family (the full per-tuple data
-    would be thousands of lines for family 4).
+    Returns one check record per family, `bracket-family-1..5`, carrying
+    the worst residual within the family (the full per-tuple data would
+    be thousands of lines for family 4).
     """
     labels = range(2 * (s + 1))
     Ls = {(a, b): L(n, a, b, s) for a in labels for b in labels}
     doms = relation_domains(s)
-    rows = []
 
     def residual_1(t):
         a, b = t
@@ -212,35 +212,28 @@ def verify_commutations(n, s=2, tol=1e-12, families=(1, 2, 3, 4, 5)):
 
     funcs = {1: residual_1, 2: residual_2, 3: residual_3, 4: residual_4,
              5: residual_5}
-    for fam in families:
-        worst = 0.0
-        worst_t = None
-        for t in doms[fam]:
-            r = funcs[fam](t)
-            if r > worst:
-                worst, worst_t = r, t
-        rows.append({
-            "family": fam,
-            "cases": len(doms[fam]),
-            "worst_indices": worst_t,
-            "residual": float(worst),
-            "pass": worst < tol,
-        })
-    return rows
+    return [rp.check(f"bracket-family-{fam}",
+                     f"bracket identity family {fam} over "
+                     f"{len(doms[fam])} index tuples",
+                     rp.worst(map(residual, doms[fam])), tol)
+            for fam, residual in funcs.items()]
 
 
 def verify_chevalley(n, tol=1e-12):
-    """Check the nine bracket families of the A_3 Chevalley presentation."""
+    """Check the nine bracket families of the A_3 Chevalley presentation
+    and the tracelessness of the generators; one `chevalley-*` record
+    each, the id taken from the relation's left side."""
     cb = chevalley_basis(n)
     e, f, h = cb["e"], cb["f"], cb["h"]
-    rows = []
+    gens = e + f + h
+    checks = []
 
     def row(relation, pairs, residual_fn):
-        worst = 0.0
-        for (i, j) in pairs:
-            worst = max(worst, float(np.max(np.abs(residual_fn(i, j)))))
-        rows.append({"relation": relation, "residual": worst,
-                     "pass": worst < tol})
+        check_id = relation.split()[0].strip("[]").replace(",", "-")
+        checks.append(rp.check(
+            f"chevalley-{check_id}", relation,
+            rp.worst(np.max(np.abs(residual_fn(i, j))) for (i, j) in pairs),
+            tol))
 
     allp = [(i, j) for i in range(3) for j in range(3)]
     offd = [(i, j) for (i, j) in allp if i != j]
@@ -265,9 +258,6 @@ def verify_chevalley(n, tol=1e-12):
         lambda i, j: commutator(e[i], commutator(e[i], e[j])))
     row("ad(f_i)^2 f_j = 0 (a_ij = -1)", adjp,
         lambda i, j: commutator(f[i], commutator(f[i], f[j])))
-
-    traces = max(float(np.max(np.abs(np.trace(M))))
-                 for M in e + f + h)
-    rows.append({"relation": "traceless generators",
-                 "residual": traces, "pass": traces < tol})
-    return rows
+    row("traceless generators", [(i, i) for i in range(len(gens))],
+        lambda i, j: np.trace(gens[i]))
+    return checks

@@ -14,6 +14,7 @@ n-blocks of fibre axes.
 import numpy as np
 
 from . import exterior as ext
+from . import report as rp
 from .exterior import GeometryError, Multivector, NotPositiveDefinite
 
 __all__ = [
@@ -168,11 +169,9 @@ class StandardBasis:
 
     def normal_form_residual(self, P):
         B = self.matrix
-        res = 0.0
-        for j, A in enumerate(P.matrices):
-            C = _canonical_matrix(P.n, P.s, j + 1)
-            res = max(res, float(np.max(np.abs(B.T @ A @ B - C))))
-        return res
+        return rp.worst(
+            np.max(np.abs(B.T @ A @ B - _canonical_matrix(P.n, P.s, j + 1)))
+            for j, A in enumerate(P.matrices))
 
 
 def _darboux_basis(A, tol=RANK_TOL):
@@ -295,10 +294,9 @@ def is_compatible(P, tol=COMPAT_TOL):
         blocks.append(-np.linalg.solve(g, P.matrices[j] @ v))
     B = np.hstack(blocks)
 
-    res = float(np.max(np.abs(B.T @ g @ B - np.eye(d))))
-    for j, A in enumerate(P.matrices):
-        C = _canonical_matrix(n, s, j + 1)
-        res = max(res, float(np.max(np.abs(B.T @ A @ B - C))))
+    res = rp.worst([np.max(np.abs(B.T @ g @ B - np.eye(d)))] + [
+        np.max(np.abs(B.T @ A @ B - _canonical_matrix(n, s, j + 1)))
+        for j, A in enumerate(P.matrices)])
     ok = res < tol
     basis = StandardBasis(n, s, B, orthonormal=True) if ok else None
     return CompatibilityResult(ok, basis, res)

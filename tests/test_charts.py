@@ -239,24 +239,29 @@ def test_ad_matches_fd_exterior_derivative():
 # verify_weak_selfdual
 
 
+def weak_selfdual_records(C, count):
+    checks = verify_weak_selfdual(build_XY(C), chart_grid(C, count, seed=5))
+    return {c["id"]: c for c in checks}
+
+
 def test_selfdual_quadratic_exact():
-    C = quadratic_chart(2)
-    rep = verify_weak_selfdual(build_XY(C), chart_grid(C, 20, seed=5))
-    assert rep["pass"] and rep["max_d_omegaD"] < 1e-13
+    rep = weak_selfdual_records(quadratic_chart(2), 20)
+    assert rep["dual-form-closed"]["verdict"] == "PASS"
+    assert rep["dual-form-closed"]["residual"] < 1e-13
 
 
 def test_selfdual_quartic_cancellation():
-    C = quartic_chart()
-    rep = verify_weak_selfdual(build_XY(C), chart_grid(C, 30, seed=5))
-    assert rep["pass"] and rep["max_d_omegaD"] < 1e-10
+    rep = weak_selfdual_records(quartic_chart(), 30)
+    assert rep["dual-form-closed"]["verdict"] == "PASS"
+    assert rep["dual-form-closed"]["residual"] < 1e-10
 
 
 def test_selfdual_random_convex_n2():
     rng = np.random.default_rng(25)
-    C = random_convex_polynomial(2, rng)
-    rep = verify_weak_selfdual(build_XY(C), chart_grid(C, 40, seed=5))
-    assert rep["pass"]
-    assert rep["max_d_omega1"] < 1e-8 and rep["max_d_omega2"] < 1e-8
+    rep = weak_selfdual_records(random_convex_polynomial(2, rng), 40)
+    assert all(c["verdict"] == "PASS" for c in rep.values())
+    assert rep["pairing-1-closed"]["residual"] < 1e-8
+    assert rep["pairing-2-closed"]["residual"] < 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -136,15 +136,17 @@ def test_laplacian_hand_values():
 
 def test_skaid_identities():
     for n, N in ((1, 2), (1, 4), (2, 2)):
-        rep = verify_skaid(n, N, samples=20)
-        assert rep["pass"], rep
-        for row in rep["rows"]:
+        rows = verify_skaid(n, N, samples=20)
+        assert [row["id"] for row in rows] == [
+            f"identity-{i}" for i in range(1, 5)]
+        for row in rows:
+            assert row["verdict"] == "PASS", row
             assert row["residual"] < 1e-10
 
 
 def test_skaid_identity_one_tight():
-    rep = verify_skaid(1, 3, samples=50)
-    assert rep["rows"][0]["residual"] < 1e-12
+    rows = verify_skaid(1, 3, samples=50)
+    assert rows[0]["residual"] < 1e-12
 
 
 def test_specific_mixed_pair_commutes_with_laplacian():

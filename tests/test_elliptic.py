@@ -142,14 +142,15 @@ def test_gh_profile_tracks_re_tau():
 
 def test_full_check_passes():
     for p in (EllipticParams(1j, 1j), EllipticParams(1 + 2j, 0.3 + 0.7j)):
-        rep = selfdual_full_check(p)
-        assert rep["pass"], rep
+        rows = selfdual_full_check(p)
+        assert len(rows) == 4
+        assert all(row["verdict"] == "PASS" for row in rows), rows
 
 
 def test_full_check_detects_corruption():
-    rep = selfdual_full_check(EllipticParams(1j, 1j), fibre_scale=(4.0, 1.0))
-    assert not rep["checks"]["unit_fibre_volume"]["pass"]
-    assert not rep["pass"]
+    rows = selfdual_full_check(EllipticParams(1j, 1j), fibre_scale=(4.0, 1.0))
+    verdicts = {row["id"]: row["verdict"] for row in rows}
+    assert verdicts["full-unit_fibre_volume"] == "FAIL"
 
 
 def test_structure_is_compatible_with_unit_dual_form():

@@ -145,17 +145,19 @@ def test_pairing_ops_dict():
 def test_commutation_families():
     for n in (1, 2):
         rows = verify_commutations(n)
-        assert len(rows) == 5
+        assert [row["id"] for row in rows] == [
+            f"bracket-family-{i}" for i in range(1, 6)]
         for row in rows:
-            assert row["pass"], row
+            assert row["verdict"] == "PASS", row
             assert row["residual"] < 1e-12
-            assert row["cases"] > 0
+            cases = int(row["anchor"].split(" over ")[1].split()[0])
+            assert cases > 0
 
 
 def test_commutation_families_s1():
     rows = verify_commutations(2, s=1)
     for row in rows:
-        assert row["pass"], row
+        assert row["verdict"] == "PASS", row
 
 
 def test_family3_needs_the_extra_exclusion():
@@ -188,7 +190,7 @@ def test_chevalley_relations():
     for n in (1, 2):
         rows = verify_chevalley(n)
         for row in rows:
-            assert row["pass"], row
+            assert row["verdict"] == "PASS", row
 
 
 def test_chevalley_specific_lines():
