@@ -134,8 +134,8 @@ class PotentialChart:
         self.n = len(self.domain)
         if potential.n != self.n:
             raise ValueError("potential dimension does not match domain")
-        if any(a >= b for a, b in self.domain):
-            raise ValueError("empty domain box")
+        if not all(-np.inf < a < b < np.inf for a, b in self.domain):
+            raise ValueError("domain box must be finite and non-empty")
         if validate:
             for x in sample_box(self.domain, validation_points, seed):
                 H = self.hessian(x)
@@ -201,6 +201,8 @@ def hessian_metric(C, x, check_fd=True):
         scale = max(1.0, float(np.max(np.abs(H))))
         if np.max(np.abs(H - F)) > 1e-6 * scale:
             raise GeometryError("jet and finite-difference Hessians disagree")
+    if not np.all(np.isfinite(H)):  # Cholesky lets NaN through
+        raise NotConvexHere(f"Hessian not finite at {x}")
     try:
         np.linalg.cholesky(H)
     except np.linalg.LinAlgError:
@@ -209,9 +211,13 @@ def hessian_metric(C, x, check_fd=True):
 
 
 def monge_ampere_residual(C, grid):
-    """Spread of det(Hessian) over the grid; zero for affine-sphere charts."""
-    dets = np.array([np.linalg.det(hessian_metric(C, x, check_fd=False))
-                     for x in np.atleast_2d(grid)])
+    """Spread of det(Hessian) over the grid; zero for affine-sphere charts,
+    inf where the Hessian is not definite."""
+    try:
+        dets = np.array([np.linalg.det(hessian_metric(C, x, check_fd=False))
+                         for x in np.atleast_2d(grid)])
+    except NotConvexHere:
+        return np.inf
     return float(np.max(np.abs(dets - dets.mean())))
 
 
@@ -472,17 +478,28 @@ def exterior_derivative(F, p, method="ad", step=1e-4, richardson=False):
     return fine + (1.0 / 3.0) * (fine - coarse)
 
 
+def _worst_over(points, residuals, names):
+    """Worst of each named residual over the points, and a note for the
+    anchors: a GeometryError makes every residual inf, and is the note."""
+    try:
+        rows = [residuals(p) for p in points]
+    except GeometryError as exc:
+        return dict.fromkeys(names, np.inf), f"; {exc}"
+    return {name: rp.worst(row[name] for row in rows) for name in names}, ""
+
+
 def verify_weak_selfdual(F, grid, tol=1e-8):
     """Closure of the dual form and of the two pairings over the grid.
 
     Returns the check records `dual-form-closed`, `pairing-1-closed` and
     `pairing-2-closed`: the max norm of each exterior derivative.
     """
-    norms = {"omega1": [], "omega2": [], "omegaD": []}
-    for p in np.atleast_2d(np.asarray(grid, dtype=float)):
-        for name, values in norms.items():
-            values.append(exterior_derivative(F.field(name), p).norm())
-    return [rp.check(check_id, anchor, rp.worst(norms[name]), tol)
+    names = ("omega1", "omega2", "omegaD")
+    worst, note = _worst_over(
+        np.atleast_2d(np.asarray(grid, dtype=float)),
+        lambda p: {name: exterior_derivative(F.field(name), p).norm()
+                   for name in names}, names)
+    return [rp.check(check_id, anchor + note, worst[name], tol)
             for name, check_id, anchor in (
                 ("omegaD", "dual-form-closed", "exterior derivative of the "
                  "dual pairing field over the sample grid"),
@@ -490,6 +507,21 @@ def verify_weak_selfdual(F, grid, tol=1e-8):
                  "first pairing field"),
                 ("omega2", "pairing-2-closed", "exterior derivative of the "
                  "second pairing field"))]
+
+
+def verify_fibre_metric(F, points):
+    """Records `fibre-volume-product` and `pointwise-compatibility`."""
+    def residuals(p):
+        g = hessian_metric(F.chart, p[: F.n], check_fd=False)
+        return {"volume": abs(fibre_volume_product(g) - 1.0),
+                "witness": pl.is_compatible(F.structure_at(p)).residual}
+
+    worst, note = _worst_over(points, residuals, ("volume", "witness"))
+    return [rp.check("fibre-volume-product", "product of the leaf volume "
+                     "and the dual leaf volume" + note, worst["volume"],
+                     1e-10),
+            rp.check("pointwise-compatibility", "orthonormal witness at "
+                     "sample points" + note, worst["witness"], 1e-9)]
 
 
 def fibre_volume_product(g):
@@ -716,7 +748,7 @@ def _potential_from_config(cfg):
         for key, c in cfg["terms"].items():
             expo = tuple(int(v) for v in str(key).split(","))
             terms[expo] = float(c)
-        n = len(next(iter(terms)))
+        n = len(next(iter(terms), ()))  # no terms: no dimension
         return PolynomialPotential(n, terms)
     if kind == "log_sum_exp":
         return LogSumExpPotential(cfg["weights"], cfg["offsets"])

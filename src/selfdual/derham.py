@@ -91,6 +91,21 @@ class FourierForm:
         return cls.constant(mv.dim, mv.terms, periods)
 
     @classmethod
+    def from_table(cls, dim, rows, periods=None):
+        """Read the coefficient_table layout; coefficients must be finite."""
+        table = {}
+        for row in rows:
+            axes = [int(axis) for axis in row.get("axes", [])]
+            if axes != sorted(set(axes)) or not set(axes) <= set(range(dim)):
+                raise ValueError(f"axes {axes} must ascend in 0..{dim - 1}")
+            ab = (float(row.get("cos", 0.0)), float(row.get("sin", 0.0)))
+            if not np.all(np.isfinite(ab)):
+                raise ValueError("coefficients must be finite")
+            k = tuple(map(int, row.get("freq", [0] * dim)))
+            table.setdefault(k, {})[ext.axes_mask(axes)] = ab
+        return cls(dim, table, periods)
+
+    @classmethod
     def random(cls, rng, dim, max_freq, n_modes=5, terms_per_mode=3):
         """Seeded random form on the unit torus, |k_i| <= max_freq."""
         table = {}

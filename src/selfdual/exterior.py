@@ -35,14 +35,6 @@ def axis_count(n, s):
     return n * (s + 1)
 
 
-def axis_index(n, block, i):
-    """Axis position of coordinate i (0-based) in the given block.
-
-    Block 0 is the x-block, block j >= 1 the j-th fibre block.
-    """
-    return block * n + i
-
-
 def axis_names(n, s):
     names = ["x%d" % (i + 1) for i in range(n)]
     for j in range(1, s + 1):
@@ -202,16 +194,6 @@ class Multivector:
             label = "^".join("e%d" % a for a in mask_axes(m)) or "1"
             bits.append("%+.6g*%s" % (self.terms[m], label))
         return "Multivector(%d, %s)" % (self.dim, " ".join(bits))
-
-    def format(self, names):
-        """Human-readable string with the supplied axis names."""
-        if not self.terms:
-            return "0"
-        bits = []
-        for m in sorted(self.terms, key=lambda m: (m.bit_count(), m)):
-            label = "^".join("d" + names[a] for a in mask_axes(m)) or "1"
-            bits.append("%+.6g %s" % (self.terms[m], label))
-        return "  ".join(bits)
 
 
 def wedge(a, b):

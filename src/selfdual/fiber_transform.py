@@ -37,7 +37,7 @@ def _flat_data(X, point=(0.11, 0.23, 0.37)):
 def _dual_power(OD, j, periods):
     P = FourierForm.constant(3, {0: 1.0}, periods)
     D = FourierForm.from_multivector(OD, periods)
-    for _ in range(j):
+    for _ in range(min(j, P.dim)):  # powers past the dimension vanish
         P = derham.wedge(P, D)
     return P
 

@@ -66,8 +66,8 @@ def test_criterion_2_mirror_recovery(capsys):
         worst = max(
             worst,
             abs(first.tau.imag - p.tau2), abs(first.t.imag - p.t2),
-            abs(first.tau.real - p.tau1 % 1.0),
-            abs(first.t.real - p.t1 % 1.0),
+            el.circle_distance(first.tau.real, p.tau1),
+            el.circle_distance(first.t.real, p.t1),
             abs(second.tau.imag - p.t2), abs(second.t.imag - p.tau2))
         worst_vol = max(worst_vol, abs(data.ell_1 * data.ell_2 - 1.0))
     elapsed = time.perf_counter() - start

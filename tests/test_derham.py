@@ -26,6 +26,20 @@ def test_constructor_canonicalizes_and_validates():
         FourierForm(2, {(0, 0): {16: (1.0, 0.0)}})
 
 
+def test_from_table_reads_the_coefficient_table():
+    rng = np.random.default_rng(5)
+    for dim in (2, 3):
+        F = FourierForm(dim, FourierForm.random(rng, dim, 3).terms,
+                        periods=rng.uniform(0.5, 2.0, size=dim))
+        G = FourierForm.from_table(dim, F.coefficient_table(), F.periods)
+        assert G.terms == F.terms and G.periods == F.periods
+    for rows in ([{"axes": [1, 0]}], [{"axes": [1, 1]}], [{"axes": [2]}],
+                 [{"axes": [-1]}], [{"cos": float("nan")}],
+                 [{"freq": [1, 2, 3]}]):
+        with pytest.raises(ValueError):
+            FourierForm.from_table(2, rows)
+
+
 def test_d_of_constant_is_zero():
     F = FourierForm(3, {(0, 0, 0): {0: (1.0, 0.0), 0b11: (2.0, 0.0)}})
     assert d(F).terms == {}

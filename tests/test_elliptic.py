@@ -6,6 +6,8 @@ the recovery round trip, and the flat-product construction for the field
 cross-check.
 """
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
@@ -14,7 +16,7 @@ from selfdual import charts as ch
 from selfdual import polylinear as pl
 from selfdual.elliptic import (
     CurveWithB, EllipticParams, NotSelfDual, SelfDualTorusData, build_X,
-    complexified_area, gh_scale_profile, recover_mirror_pair,
+    circle_distance, complexified_area, gh_scale_profile, recover_mirror_pair,
     selfdual_full_check,
 )
 from selfdual.exterior import Multivector
@@ -62,6 +64,33 @@ def test_monodromy_angles():
     data, _ = build_X(EllipticParams(-0.25 + 1j, 1.5 + 1j))
     assert abs(data.theta_2 - 0.75) < 1e-15
     assert abs(data.theta_1 - 0.5) < 1e-15
+
+
+@pytest.mark.parametrize("re", [1e-17, -1e-17, -1.0,
+                                math.nextafter(1.0, 0.0)])
+def test_monodromy_angles_lie_in_unit_interval(re):
+    # -1e-17 % 1.0 rounds to 1.0 in floating point
+    data, _ = build_X(EllipticParams(complex(re, 1.0), complex(re, 2.0)))
+    assert 0.0 <= data.theta_1 < 1.0 and 0.0 <= data.theta_2 < 1.0
+    first, _ = recover_mirror_pair(data)
+    assert circle_distance(first.tau.real, re) < 1e-12
+    assert circle_distance(first.t.real, re) < 1e-12
+
+
+def test_recovered_real_parts_lie_in_unit_interval():
+    first, second = recover_mirror_pair(
+        SelfDualTorusData(1.0, 1.0, 1.0, -1e-17, -1e-17))
+    assert first.tau.real == 0.0 and first.t.real == 0.0
+    assert second.tau.real == 0.0 and second.t.real == 0.0
+
+
+def test_circle_distance():
+    assert circle_distance(0.0, 1.0) == 0.0
+    assert circle_distance(0.9, 0.1) == pytest.approx(0.2)
+    assert circle_distance(0.25, -0.25) == 0.5
+    assert circle_distance(2.7 % 1.0, 2.7) == 0.0
+    assert circle_distance(0.0, 1e300) == 0.0
+    assert circle_distance(1e16 % 1.0, 1e16) == 0.0
 
 
 def test_recover_square_point_is_fixed():
@@ -147,8 +176,16 @@ def test_full_check_passes():
         assert all(row["verdict"] == "PASS" for row in rows), rows
 
 
-def test_full_check_detects_corruption():
-    rows = selfdual_full_check(EllipticParams(1j, 1j), fibre_scale=(4.0, 1.0))
+def test_full_check_detects_corruption(monkeypatch):
+    # build_X assembles its structure with a first fibre metric scaled by 4
+    constant = ch.FieldStructure.constant
+
+    def corrupted(n, O1, O2, OD, h, periods=None):
+        return constant(n, O1, O2, OD, h @ np.diag([1.0, 4.0, 1.0]),
+                        periods=periods)
+
+    monkeypatch.setattr(ch.FieldStructure, "constant", corrupted)
+    rows = selfdual_full_check(EllipticParams(1j, 1j))
     verdicts = {row["id"]: row["verdict"] for row in rows}
     assert verdicts["full-unit_fibre_volume"] == "FAIL"
 
