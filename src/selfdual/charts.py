@@ -595,7 +595,7 @@ class FlatKahlerFactor:
         self.base_periods = np.asarray(base_periods, dtype=float)
         self.validate()
 
-    def validate(self, tol=1e-9):
+    def validate(self):
         ext._check_metric(self.base_metric, self.n)
         ext._check_metric(self.fibre_metric, self.n)
         # adapted frame: base-orthonormal u_a with partners dual under omega
@@ -603,13 +603,13 @@ class FlatKahlerFactor:
         u = np.linalg.inv(L).T
         partner = np.linalg.solve(self.fibre_metric, self.coupling.T @ u)
         gram = partner.T @ self.fibre_metric @ partner
-        if np.max(np.abs(gram - np.eye(self.n))) > tol:
+        if np.max(np.abs(gram - np.eye(self.n))) > 1e-9:
             raise GeometryError(
                 "coupling does not match the two metrics "
                 "(needs coupling fibre_metric^-1 coupling^T = base_metric)")
 
 
-def fibre_product(n, factor1, factor2, tol=1e-10):
+def fibre_product(n, factor1, factor2):
     """Join two flat factors over a common base into one constant structure.
 
     The normalization halves the doubled horizontal metric and leaves the
@@ -619,10 +619,10 @@ def fibre_product(n, factor1, factor2, tol=1e-10):
     if factor1.n != n or factor2.n != n:
         raise ValueError("factor base dimension mismatch")
     diff = np.max(np.abs(factor1.base_metric - factor2.base_metric))
-    if diff > tol:
-        raise GeometryError(
-            f"base metrics differ by {diff:.3e} (tolerance {tol:.1e})")
-    if np.max(np.abs(factor1.base_periods - factor2.base_periods)) > tol:
+    if diff > 1e-10:
+        raise GeometryError(f"base metrics differ by {diff:.3e} "
+                            "(tolerance 1e-10)")
+    if np.max(np.abs(factor1.base_periods - factor2.base_periods)) > 1e-10:
         raise GeometryError("base periods differ")
     gB = factor1.base_metric
     d = 3 * n

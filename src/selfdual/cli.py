@@ -140,9 +140,9 @@ def suite_affine_check(chart, points, seed, tol_field):
 
 
 def _moduli(tau, t):
-    # beyond this range polylinear's rank cut loses diag(s, s, 1/s)
-    if not 1e-4 <= t.imag / tau.imag <= 1e4:
-        raise ConfigError("Im t / Im tau must lie in 1e-4..1e4")
+    # omega1's coefficient Im t / Im tau must survive Multivector's prune
+    if not t.imag / tau.imag >= 1e-13:
+        raise ConfigError("Im t / Im tau must be at least 1e-13")
     return el.EllipticParams(tau, t)
 
 

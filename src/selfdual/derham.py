@@ -106,14 +106,14 @@ class FourierForm:
         return cls(dim, table, periods)
 
     @classmethod
-    def random(cls, rng, dim, max_freq, n_modes=5, terms_per_mode=3):
+    def random(cls, rng, dim, max_freq):
         """Seeded random form on the unit torus, |k_i| <= max_freq."""
         table = {}
-        for _ in range(n_modes):
+        for _ in range(5):
             k = tuple(int(x) for x in rng.integers(-max_freq, max_freq + 1,
                                                    size=dim))
             slot = table.setdefault(k, {})
-            for _ in range(terms_per_mode):
+            for _ in range(3):
                 mask = int(rng.integers(0, 1 << dim))
                 slot[mask] = (rng.normal(), rng.normal())
         return cls(dim, table)

@@ -100,12 +100,12 @@ class SelfDualTorusData:
     theta_1: float
     theta_2: float
 
-    def validate(self, tol=SELF_DUAL_TOL):
+    def validate(self):
         if not self.base_length > 0:
             raise ValueError("base length must be positive")
         if min(self.ell_1, self.ell_2) <= 0:
             raise ValueError("fibre lengths must be positive")
-        if abs(self.ell_1 * self.ell_2 - 1.0) > tol:
+        if abs(self.ell_1 * self.ell_2 - 1.0) > SELF_DUAL_TOL:
             raise NotSelfDual(
                 f"fibre length product {self.ell_1 * self.ell_2} != 1")
 

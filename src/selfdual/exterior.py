@@ -11,9 +11,10 @@ sparse map from bitmask to float64 coefficient, expressed in the
 increasing-axis-order basis.  Every sign in the package derives from this
 single ordering.
 
-Coefficients below PRUNE_EPS in absolute value are dropped on construction,
-so operator compositions stay sparse.  Multivectors are treated as immutable
-values; all operations return new objects.
+Coefficients of absolute value at most PRUNE_EPS are dropped on
+construction, so operator compositions stay sparse; a NaN is kept.
+Multivectors are treated as immutable values; all operations return new
+objects.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ class Multivector:
 
     __slots__ = ("dim", "terms")
 
-    def __init__(self, dim, terms=None, eps=PRUNE_EPS):
+    def __init__(self, dim, terms=None):
         self.dim = int(dim)
         clean = {}
         if terms:
@@ -109,7 +110,7 @@ class Multivector:
                 if not 0 <= mask < top:
                     raise ValueError("axis set out of range for dimension %d" % dim)
                 c = float(c)
-                if abs(c) > eps:
+                if not abs(c) <= PRUNE_EPS:  # keeps NaN
                     clean[mask] = c
         self.terms = clean
 

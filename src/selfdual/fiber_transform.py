@@ -23,10 +23,10 @@ from . import derham
 from .derham import FourierForm
 
 
-def _flat_data(X, point=(0.11, 0.23, 0.37)):
+def _flat_data(X):
     """Dual form and metric of a flat structure; errors if coefficients move."""
     p0 = np.zeros(X.dim)
-    p1 = np.asarray(point, dtype=float)
+    p1 = np.array([0.11, 0.23, 0.37])
     OD0, OD1 = X.omegaD.at(p0), X.omegaD.at(p1)
     h0, h1 = X.h.at(p0), X.h.at(p1)
     if (OD0 - OD1).norm() > 1e-12 or np.max(np.abs(h0 - h1)) > 1e-12:

@@ -14,6 +14,8 @@ from . import exterior as ext
 from . import report as rp
 
 CARTAN_A3 = np.array([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
+CLOSURE_TOL = 1e-9
+CLOSURE_ROUNDS = 50
 
 
 def bar(alpha, s=2):
@@ -101,9 +103,9 @@ def chevalley_basis(n):
     return {"e": e, "f": f, "h": h}
 
 
-def generated_dimension(gens, tol=1e-9, max_rounds=50):
+def generated_dimension(gens):
     """Dimension of the Lie closure of the given matrices."""
-    return len(closure_basis(gens, tol, max_rounds))
+    return len(closure_basis(gens))
 
 
 def trace_form(mats):
@@ -116,7 +118,7 @@ def trace_form(mats):
     return B
 
 
-def closure_basis(gens, tol=1e-9, max_rounds=50):
+def closure_basis(gens):
     """Matrices spanning the Lie closure (Frobenius-normalized)."""
     basis = []
     mats = []
@@ -124,12 +126,12 @@ def closure_basis(gens, tol=1e-9, max_rounds=50):
     def add(M):
         v = M.ravel().astype(float)
         scale = np.linalg.norm(v)
-        if scale <= tol:
+        if scale <= CLOSURE_TOL:
             return False
         for b in basis:
             v = v - (v @ b) * b
         nv = np.linalg.norm(v)
-        if nv > tol * scale:
+        if nv > CLOSURE_TOL * scale:
             basis.append(v / nv)
             mats.append(M / scale)
             return True
@@ -137,7 +139,7 @@ def closure_basis(gens, tol=1e-9, max_rounds=50):
 
     for M in gens:
         add(np.asarray(M, dtype=float))
-    for _ in range(max_rounds):
+    for _ in range(CLOSURE_ROUNDS):
         grew = False
         snapshot = list(mats)
         for i, A in enumerate(snapshot):
@@ -146,7 +148,8 @@ def closure_basis(gens, tol=1e-9, max_rounds=50):
                     grew = True
         if not grew:
             return mats
-    raise RuntimeError("bracket closure did not stabilize in 50 rounds")
+    raise RuntimeError(
+        f"bracket closure did not stabilize in {CLOSURE_ROUNDS} rounds")
 
 
 def relation_domains(s=2):

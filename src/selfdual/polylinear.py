@@ -42,25 +42,29 @@ class NotCompatible(GeometryError):
     pass
 
 
-def _nullspace(A, tol=RANK_TOL):
+def _nullspace(A):
     # orthonormal basis of {v : A v = 0}, threshold relative to sigma_max
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if A.shape[0] == 0:
         return np.eye(A.shape[1])
     _, sv, vt = np.linalg.svd(A)
-    cut = tol * (sv[0] if sv.size else 0.0)
+    cut = RANK_TOL * (sv[0] if sv.size else 0.0)
     rank = int(np.sum(sv > cut))
     return vt[rank:].T
 
 
-def _rank(A, tol=RANK_TOL):
-    sv = np.linalg.svd(np.asarray(A, dtype=float), compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > tol * sv[0]))
+def _rank(A):
+    N = _nullspace(A)
+    return N.shape[0] - N.shape[1]
 
 
-def _as_matrix(omega, dim=None):
+def _orthocomplement(g, F):
+    # orthonormal basis of {w : F^T g w = 0}; the rank is decided on the
+    # well-scaled F, as a cut on g F would scale with the metric
+    return np.linalg.qr(np.linalg.solve(g, _nullspace(F.T)))[0]
+
+
+def _as_matrix(omega):
     if isinstance(omega, Multivector):
         return ext.form_to_matrix(omega)
     A = np.asarray(omega, dtype=float)
@@ -69,10 +73,9 @@ def _as_matrix(omega, dim=None):
     return A
 
 
-def kernel(omega, tol=RANK_TOL):
+def kernel(omega):
     """Orthonormal basis of the vectors contracting to zero in a 2-form."""
-    A = _as_matrix(omega)
-    return _nullspace(A, tol)
+    return _nullspace(_as_matrix(omega))
 
 
 def _canonical_matrix(n, s, j):
@@ -95,7 +98,6 @@ class PolyStructure:
         if len(omegas) != self.s:
             raise ValueError(f"expected {self.s} forms, got {len(omegas)}")
         mats = []
-        mvs = []
         for om in omegas:
             A = _as_matrix(om)
             if A.shape != (self.dim, self.dim):
@@ -103,9 +105,7 @@ class PolyStructure:
             if np.max(np.abs(A + A.T)) > 1e-10 * max(1.0, np.max(np.abs(A))):
                 raise ValueError("2-form matrix must be antisymmetric")
             mats.append(A)
-            mvs.append(om if isinstance(om, Multivector) else ext.matrix_to_form(A))
         self.matrices = mats
-        self.omegas = tuple(mvs)
         if metric is not None:
             metric = np.asarray(metric, dtype=float)
             ext._check_metric(metric, self.dim)
@@ -113,9 +113,9 @@ class PolyStructure:
         self._fj = None
 
     def with_metric(self, metric):
-        return PolyStructure(self.n, self.s, self.omegas, metric)
+        return PolyStructure(self.n, self.s, self.matrices, metric)
 
-    def kernel_blocks(self, tol=RANK_TOL):
+    def kernel_blocks(self):
         """Per-form blocks: intersection of the kernels of the other forms."""
         if self._fj is not None:
             return self._fj
@@ -125,28 +125,28 @@ class PolyStructure:
         blocks = []
         for j in range(s):
             stacked = np.vstack([self.matrices[k] for k in range(s) if k != j])
-            blocks.append(_nullspace(stacked, tol))
+            blocks.append(_nullspace(stacked))
         self._fj = blocks
         return blocks
 
-    def kernel_sum(self, tol=RANK_TOL):
-        return np.hstack(self.kernel_blocks(tol))
+    def kernel_sum(self):
+        return np.hstack(self.kernel_blocks())
 
-    def validate(self, tol=RANK_TOL):
+    def validate(self):
         n, s, d = self.n, self.s, self.dim
         for j, A in enumerate(self.matrices):
-            r = _rank(A, tol)
+            r = _rank(A)
             if r != 2 * n:
                 raise NotPolysymplectic(
                     f"form {j + 1} has rank {r}, expected {2 * n}")
         if s == 1:
             return
-        for j, Fj in enumerate(self.kernel_blocks(tol)):
+        for j, Fj in enumerate(self.kernel_blocks()):
             if Fj.shape[1] != n:
                 raise NotPolysymplectic(
                     f"joint kernel block {j + 1} has dimension "
                     f"{Fj.shape[1]}, expected {n}")
-        if _rank(self.kernel_sum(tol), tol) != n * s:
+        if _rank(self.kernel_sum()) != n * s:
             raise NotPolysymplectic("kernel blocks are not independent")
 
 
@@ -174,7 +174,7 @@ class StandardBasis:
             for j, A in enumerate(P.matrices))
 
 
-def _darboux_basis(A, tol=RANK_TOL):
+def _darboux_basis(A):
     # classical pairing construction for a single nondegenerate form
     d = A.shape[0]
     n = d // 2
@@ -183,41 +183,39 @@ def _darboux_basis(A, tol=RANK_TOL):
     for _ in range(n):
         pair = U.T @ A @ U
         i, k = np.unravel_index(np.argmax(np.abs(pair)), pair.shape)
-        if abs(pair[i, k]) < tol * max(1.0, np.max(np.abs(A))):
+        if abs(pair[i, k]) < RANK_TOL * max(1.0, np.max(np.abs(A))):
             raise Degenerate("form is degenerate on the remaining space")
         u = U[:, i]
         z = U[:, k] / pair[i, k]
         vs.append(u)
         ws.append(z)
         constraints = np.vstack([(A @ u), (A @ z)]).T
-        coords = _nullspace((U.T @ constraints).T, tol)
+        coords = _nullspace((U.T @ constraints).T)
         U = U @ coords
     return np.column_stack(vs + ws)
 
 
-def standard_basis(P, tol=RANK_TOL):
+def standard_basis(P):
     """Basis in which every form takes its block normal form.
 
     The base block is chosen orthogonal to the kernel sum, under the
     structure's metric when present and Euclidean otherwise, then corrected
     to be isotropic for each form.
     """
-    P.validate(tol)
+    P.validate()
     n, s, d = P.n, P.s, P.dim
 
     if s == 1:
-        B = _darboux_basis(P.matrices[0], tol)
+        B = _darboux_basis(P.matrices[0])
         sb = StandardBasis(n, s, B)
         if sb.normal_form_residual(P) > 1e-10 * max(1.0, np.max(np.abs(P.matrices[0]))):
             raise Degenerate("pairing construction failed to reach normal form")
         return sb
 
-    Fj = P.kernel_blocks(tol)
-    F = np.hstack(Fj)
+    Fj = P.kernel_blocks()
     g = P.metric if P.metric is not None else np.eye(d)
-    W0 = _nullspace((g @ F).T, tol)
-    if W0.shape[1] != n:
-        raise NotPolysymplectic("complement of the kernel sum has wrong dimension")
+    # validate() fixed the rank of the kernel sum, so W0 has n columns
+    W0 = _orthocomplement(g, np.hstack(Fj))
 
     scale = max(np.max(np.abs(A)) for A in P.matrices)
     us = []
@@ -226,7 +224,7 @@ def standard_basis(P, tol=RANK_TOL):
         if np.max(np.abs(Fj[j].T @ A @ Fj[j])) > 1e-8 * scale:
             raise Degenerate(f"kernel block {j + 1} is not isotropic for its form")
         N = Fj[j].T @ A @ W0
-        if _rank(N, tol) < n:
+        if _rank(N) < n:
             raise Degenerate("kernel block pairs degenerately with the complement")
         us.append(Fj[j] @ np.linalg.inv(N).T)
 
@@ -238,7 +236,7 @@ def standard_basis(P, tol=RANK_TOL):
     ws = []
     for j in range(s):
         Mj = v.T @ P.matrices[j] @ us[j]
-        if _rank(Mj, tol) < n:
+        if _rank(Mj) < n:
             raise Degenerate("dual solve is singular")
         ws.append(us[j] @ np.linalg.inv(Mj))
 
@@ -265,7 +263,7 @@ class CompatibilityResult:
         return f"CompatibilityResult({self.compatible}, residual={self.residual:.3e})"
 
 
-def is_compatible(P, tol=COMPAT_TOL):
+def is_compatible(P):
     """Decide whether the metric admits an orthonormal normal-form basis.
 
     Constructive: the base block is the metric orthocomplement of the kernel
@@ -281,10 +279,7 @@ def is_compatible(P, tol=COMPAT_TOL):
     n, s, d = P.n, P.s, P.dim
     g = P.metric
 
-    F = P.kernel_sum()
-    Wg = _nullspace((g @ F).T)
-    if Wg.shape[1] != n:
-        raise NotPolysymplectic("metric orthocomplement has wrong dimension")
+    Wg = _orthocomplement(g, P.kernel_sum())
     gram = Wg.T @ g @ Wg
     L = np.linalg.cholesky(gram)
     v = Wg @ np.linalg.inv(L).T
@@ -297,7 +292,7 @@ def is_compatible(P, tol=COMPAT_TOL):
     res = rp.worst([np.max(np.abs(B.T @ g @ B - np.eye(d)))] + [
         np.max(np.abs(B.T @ A @ B - _canonical_matrix(n, s, j + 1)))
         for j, A in enumerate(P.matrices)])
-    ok = res < tol
+    ok = res < COMPAT_TOL
     basis = StandardBasis(n, s, B, orthonormal=True) if ok else None
     return CompatibilityResult(ok, basis, res)
 
@@ -313,13 +308,14 @@ def dualizing_form_from_basis(sb):
     return ext.matrix_to_form(b1.T @ b2 - b2.T @ b1)
 
 
-def dualizing_form(P, tol=COMPAT_TOL):
+def dualizing_form(P):
     """The basis-independent 2-form pairing the two fibre coframes."""
     if P.s != 2:
         raise ValueError("dualizing form is defined only for s=2")
-    res = is_compatible(P, tol)
+    res = is_compatible(P)
     if not res.compatible:
-        raise NotCompatible(f"metric residual {res.residual:.3e} exceeds {tol}")
+        raise NotCompatible(
+            f"metric residual {res.residual:.3e} exceeds {COMPAT_TOL}")
     return dualizing_form_from_basis(res.basis)
 
 
@@ -373,7 +369,7 @@ def rotate_structure(P, mode):
     return PolyStructure(P.n, P.s, forms, metric=P.metric)
 
 
-def is_block_compatible(g, P, tol=COMPAT_TOL):
+def is_block_compatible(g, P):
     """Kernel blocks mutually orthogonal and the orthocomplement isotropic."""
     P.validate()
     g = np.asarray(g, dtype=float)
@@ -382,32 +378,32 @@ def is_block_compatible(g, P, tol=COMPAT_TOL):
     scale = max(1.0, float(np.max(np.abs(g))))
     for j in range(P.s):
         for k in range(j + 1, P.s):
-            if np.max(np.abs(Fj[j].T @ g @ Fj[k])) > tol * scale:
+            if np.max(np.abs(Fj[j].T @ g @ Fj[k])) > COMPAT_TOL * scale:
                 return False
-    W = _nullspace((g @ np.hstack(Fj)).T)
+    W = _orthocomplement(g, np.hstack(Fj))
     fscale = max(1.0, max(float(np.max(np.abs(A))) for A in P.matrices))
     for A in P.matrices:
-        if np.max(np.abs(W.T @ A @ W)) > tol * fscale:
+        if np.max(np.abs(W.T @ A @ W)) > COMPAT_TOL * fscale:
             return False
     return True
 
 
-def interpolate_block_compatible(g1, g2, P, t, tol=COMPAT_TOL):
+def interpolate_block_compatible(g1, g2, P, t):
     """Convex combination t*g1 + (1-t)*g2 of block-compatible metrics."""
     if not 0.0 <= t <= 1.0:
         raise ValueError("interpolation parameter must lie in [0, 1]")
     g1 = np.asarray(g1, dtype=float)
     g2 = np.asarray(g2, dtype=float)
-    if not is_block_compatible(g1, P, tol):
+    if not is_block_compatible(g1, P):
         raise GeometryError("first metric is not block-compatible")
-    if not is_block_compatible(g2, P, tol):
+    if not is_block_compatible(g2, P):
         raise GeometryError("second metric is not block-compatible")
     F = P.kernel_sum()
     scale = max(1.0, float(np.max(np.abs(g1))), float(np.max(np.abs(g2))))
-    if np.max(np.abs(F.T @ (g1 - g2) @ F)) > tol * scale:
+    if np.max(np.abs(F.T @ (g1 - g2) @ F)) > COMPAT_TOL * scale:
         raise GeometryError("metrics disagree on the kernel sum")
     gt = t * g1 + (1.0 - t) * g2
-    if not is_block_compatible(gt, P, tol):
+    if not is_block_compatible(gt, P):
         raise GeometryError("interpolated metric failed the block test")
     return gt
 
@@ -416,12 +412,10 @@ def metric_data(P):
     """Forward extraction: (full metric for restriction, orthocomplement)."""
     if P.metric is None:
         raise ValueError("structure has no metric")
-    F = P.kernel_sum()
-    W = _nullspace((P.metric @ F).T)
-    return P.metric.copy(), W
+    return P.metric.copy(), _orthocomplement(P.metric, P.kernel_sum())
 
 
-def metric_from_data(g1, W, P, tol=RANK_TOL):
+def metric_from_data(g1, W, P):
     """Rebuild the unique adapted metric from its reduced data.
 
     g1 is a symmetric matrix whose restriction to the first kernel block is
@@ -440,17 +434,17 @@ def metric_from_data(g1, W, P, tol=RANK_TOL):
     if W.shape != (d, n):
         raise ValueError(f"complement must be {d}x{n}")
     Fj = P.kernel_blocks()
-    F = np.hstack(Fj)
-    if _rank(np.hstack([W, F]), tol) != d:
+    # decide on the subspace, not on the scale of the columns spanning it
+    e0 = np.linalg.qr(W)[0]
+    if _rank(W) < n or _rank(np.hstack([e0, *Fj])) != d:
         raise GeometryError("subspace is not complementary to the kernel sum")
     fscale = max(1.0, max(float(np.max(np.abs(A))) for A in P.matrices))
     for A in P.matrices:
-        if np.max(np.abs(W.T @ A @ W)) > 1e-8 * fscale:
+        if np.max(np.abs(e0.T @ A @ e0)) > 1e-8 * fscale:
             raise GeometryError("complement is not isotropic for the forms")
 
-    e0 = np.linalg.qr(W)[0]
     N = e0.T @ P.matrices[0] @ Fj[0]
-    if _rank(N, tol) < n:
+    if _rank(N) < n:
         raise Degenerate("first kernel block pairs degenerately")
     f10 = Fj[0] @ np.linalg.inv(N)
     G0 = f10.T @ g1 @ f10
@@ -465,7 +459,7 @@ def metric_from_data(g1, W, P, tol=RANK_TOL):
     blocks = [e, f1]
     for j in range(1, s):
         Nj = e.T @ P.matrices[j] @ Fj[j]
-        if _rank(Nj, tol) < n:
+        if _rank(Nj) < n:
             raise Degenerate("kernel block pairs degenerately")
         blocks.append(Fj[j] @ np.linalg.inv(Nj))
     B = np.hstack(blocks)

@@ -145,7 +145,7 @@ def assert_config_error(capsys, argv):
     ["mirror", "--t", "0+1i"],
     ["mirror", "--tau", "0+1i", "--t", "0+1i", "--bogus", "1"],
     ["mirror", "--tau", "0+1i", "--t", "0-1i"],
-    ["mirror", "--tau", "0+1e-3i", "--t", "0+1e2i"],
+    ["mirror", "--tau", "1i", "--t", "1e-14i"],
     ["mirror", "--tau", "1e-300i", "--t", "1e300i"],
     ["mirror", "--tau=-1+1.5e-243i", "--t=-1+1.5e-243i"],
     FM + ["--tau", "0+1e4i"],
@@ -161,7 +161,7 @@ def assert_config_error(capsys, argv):
         "fm-freq-not-a-list", "fm-axis-outside", "tol-nan", "tol-inf",
         "skaid-N--1", "skaid-N-0", "skaid-N-1e19", "affine-seed-1e11",
         "mirror-missing-tau", "unknown-flag", "lower-half-plane",
-        "moduli-ratio-1e5", "moduli-ratio-overflow", "moduli-underflow",
+        "moduli-ratio-1e-14", "moduli-ratio-overflow", "moduli-underflow",
         "fm-moduli-above-cap", "fm-j--1",
         "fm-axis-overflow", "fm-axes-descending", "fm-deep-json",
         "out-missing-directory", "unknown-command", "no-command"])
@@ -300,9 +300,25 @@ def test_chart_overflowing_on_its_grid_is_a_failed_report(capsys, tmp_path):
     code = main(["affine-check", "--chart", str(path)])
     rep = json.loads(capsys.readouterr().out)
     assert code == 1
-    record = {c["id"]: c for c in rep["checks"]}["fibre-volume-product"]
-    assert record["verdict"] == "FAIL"
-    assert "Hessian not finite" in record["anchor"]
+    records = {c["id"]: c for c in rep["checks"]}
+    assert records["fibre-volume-product"]["verdict"] == "FAIL"
+    assert "Hessian not finite" in records["fibre-volume-product"]["anchor"]
+    # the overflowed forms carry NaN, which must not read as zero
+    assert records["dual-form-closed"]["residual"] == "nan"
+    assert records["dual-form-closed"]["verdict"] == "FAIL"
+
+
+@pytest.mark.parametrize("argv", [
+    ["mirror", "--tau=1e-3i", "--t=1e3i"],
+    ["fm", "--tau=1e-3i", "--t=1e3i"],
+    ["mirror", "--tau=1i", "--t=1e-13i"],
+    ["fm", "--tau=1i", "--t=1e-13i"],
+], ids=["mirror-ratio-1e6", "fm-ratio-1e6", "mirror-ratio-1e-13",
+        "fm-ratio-1e-13"])
+def test_moduli_far_apart_pass(capsys, argv):
+    code, rep = run_json(capsys, argv)
+    assert code == 0
+    assert all(c["verdict"] == "PASS" for c in rep["checks"])
 
 
 def test_mirror_angle_just_below_zero_wraps(capsys):

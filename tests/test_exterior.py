@@ -265,6 +265,12 @@ def test_zero_pruning_and_axis_names():
     assert ext.axis_count(2, 2) == 6
 
 
+def test_nan_coefficient_is_kept():
+    mv = Multivector(3, {0b001: float("nan"), 0b010: 0.0})
+    assert list(mv.terms) == [0b001]
+    assert np.isnan(mv.norm())
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 5), st.integers(0, 5),
        st.floats(-5, 5, allow_nan=False), st.floats(-5, 5, allow_nan=False))

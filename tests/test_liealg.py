@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from selfdual import exterior as ext
+from selfdual import liealg
 from selfdual.exterior import Multivector
 from selfdual.liealg import (
     CARTAN_A3, L, bar, basis_op, chevalley_basis, closure_basis, commutator,
@@ -230,9 +231,9 @@ def test_trace_form_nondegenerate_on_closure():
     assert sv.min() > 1e-9
 
 
-def test_closure_can_fail_to_converge():
-    with pytest.raises(RuntimeError):
-        # matrices engineered to keep producing new directions never
-        # exist in a finite space; force the failure with max_rounds=0
-        gens = [L(1, 0, 1), L(1, bar(1), bar(0))]
-        closure_basis(gens, max_rounds=0)
+def test_closure_can_fail_to_converge(monkeypatch):
+    # matrices engineered to keep producing new directions never exist in
+    # a finite space; force the failure by allowing no rounds
+    monkeypatch.setattr(liealg, "CLOSURE_ROUNDS", 0)
+    with pytest.raises(RuntimeError, match="in 0 rounds"):
+        closure_basis([L(1, 0, 1), L(1, bar(1), bar(0))])

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from selfdual import elliptic as el
 from selfdual import exterior as ext
 from selfdual import polylinear as pl
 from selfdual.exterior import Multivector, NotPositiveDefinite
@@ -55,7 +56,7 @@ def test_kernel_single_pair_form():
 
 def test_kernel_of_canonical_first_form():
     P = normal_form(2, 2)
-    K = kernel(P.omegas[0])
+    K = kernel(ext.matrix_to_form(P.matrices[0]))
     assert K.shape == (6, 2)
     # kernel of the first form is the second fibre block
     assert np.max(np.abs(K[:4, :])) < 1e-12
@@ -159,6 +160,21 @@ def test_compatible_random_pullback():
 def test_compatible_requires_metric():
     with pytest.raises(ValueError):
         is_compatible(normal_form(1, 2, metric=False))
+
+
+@pytest.mark.parametrize("s", [1e-13, 1e-6, 1e5, 1e10, 1e150])
+def test_decisions_hold_at_every_scale_of_the_mirror_metric(s):
+    # the torus structure of elliptic.build_X: forms s dx^dy1 and dx^dy2
+    # under the metric diag(s, s, 1/s), with dualizing form dy1^dy2
+    _, F = el.build_X(el.EllipticParams(1j, complex(0.0, s)))
+    P = F.structure_at(np.zeros(3))
+    res = is_compatible(P)
+    assert res.compatible and res.residual < 1e-14
+    assert standard_basis(P).normal_form_residual(P) < 1e-14
+    D = dualizing_form(P)
+    assert list(D.terms) == [0b110]
+    assert abs(D.coeff([1, 2]) - 1.0) < 1e-14
+    assert is_block_compatible(P.metric, P)
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +383,21 @@ def test_metric_from_data_round_trip():
         rebuilt = metric_from_data(g1, W, P)
         assert np.max(np.abs(rebuilt - P.metric)) < 1e-10 * max(
             1.0, np.max(np.abs(P.metric)))
+
+
+@pytest.mark.parametrize("c", [1e-12, 1e12])
+def test_metric_from_data_ignores_the_scale_of_the_complement_basis(c):
+    P = pulled_back(normal_form(2, 2),
+                    well_conditioned(np.random.default_rng(20), 6))
+    g1, W = metric_data(P)
+    np.testing.assert_allclose(metric_from_data(g1, c * W, P), P.metric,
+                               atol=1e-10)
+    # span(x1, x2 + y1_1) is complementary but not isotropic for omega_1
+    Q = normal_form(2, 2, metric=False)
+    W = np.zeros((6, 2))
+    W[0, 0] = W[1, 1] = W[2, 1] = 1.0
+    with pytest.raises(GeometryError, match="not isotropic"):
+        metric_from_data(np.eye(6), c * W, Q)
 
 
 def test_metric_from_data_rejects_degenerate_datum():
