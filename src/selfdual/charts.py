@@ -31,6 +31,9 @@ __all__ = [
     "random_convex_polynomial", "chart_from_config",
 ]
 
+COUPLING_TOL = 1e-9  # a flat factor's coupling against its two metrics
+BASE_TOL = 1e-10  # fibre_product: the factors' base metrics and periods
+
 
 class NotConvexHere(GeometryError):
     pass
@@ -603,7 +606,7 @@ class FlatKahlerFactor:
         u = np.linalg.inv(L).T
         partner = np.linalg.solve(self.fibre_metric, self.coupling.T @ u)
         gram = partner.T @ self.fibre_metric @ partner
-        if np.max(np.abs(gram - np.eye(self.n))) > 1e-9:
+        if np.max(np.abs(gram - np.eye(self.n))) > COUPLING_TOL:
             raise GeometryError(
                 "coupling does not match the two metrics "
                 "(needs coupling fibre_metric^-1 coupling^T = base_metric)")
@@ -619,10 +622,10 @@ def fibre_product(n, factor1, factor2):
     if factor1.n != n or factor2.n != n:
         raise ValueError("factor base dimension mismatch")
     diff = np.max(np.abs(factor1.base_metric - factor2.base_metric))
-    if diff > 1e-10:
+    if diff > BASE_TOL:
         raise GeometryError(f"base metrics differ by {diff:.3e} "
-                            "(tolerance 1e-10)")
-    if np.max(np.abs(factor1.base_periods - factor2.base_periods)) > 1e-10:
+                            f"(tolerance {BASE_TOL:.1e})")
+    if np.max(np.abs(factor1.base_periods - factor2.base_periods)) > BASE_TOL:
         raise GeometryError("base periods differ")
     gB = factor1.base_metric
     d = 3 * n

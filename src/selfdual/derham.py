@@ -318,18 +318,16 @@ def fibre_integrate(F, axis, length, samples):
 
     Contracts the circle's tangent into the first slot (sign from
     exterior.contract_axis), then averages over `samples` points with
-    the trapezoid rule. Per mode of fibre frequency f the rule
-    contributes C = mean cos(2 pi f m/M), S = mean sin(2 pi f m/M);
-    below Nyquist these are exactly the 0/1 integrals. The result lives
-    on the remaining axes, in their order.
+    the trapezoid rule, taken exactly: per mode of fibre frequency f the
+    M-point means of cos and sin are 1 and 0 if M divides f, else 0 and
+    0, so below Nyquist no roundoff times `length` enters. The result
+    lives on the remaining axes, in their order.
     """
-    m_idx = np.arange(samples)
     low = (1 << axis) - 1
     table = {}
     for k, masks in F.terms.items():
-        ang = TWO_PI * k[axis] * m_idx / samples
-        C = float(np.mean(np.cos(ang)))
-        S = float(np.mean(np.sin(ang)))
+        if k[axis] % samples:
+            continue
         k_new = k[:axis] + k[axis + 1:]
         for mask, (a, b) in masks.items():
             hit = ext.contract_axis(mask, axis)
@@ -337,8 +335,7 @@ def fibre_integrate(F, axis, length, samples):
                 continue
             m2, sign = hit
             _add(table, k_new, (m2 & low) | ((m2 >> 1) & ~low),
-                 length * sign * (a * C + b * S),
-                 length * sign * (b * C - a * S))
+                 length * sign * a, length * sign * b)
     periods = F.periods[:axis] + F.periods[axis + 1:]
     return FourierForm(F.dim - 1, table, periods)
 

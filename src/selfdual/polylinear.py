@@ -102,7 +102,7 @@ class PolyStructure:
             A = _as_matrix(om)
             if A.shape != (self.dim, self.dim):
                 raise ValueError("form dimension mismatch")
-            if np.max(np.abs(A + A.T)) > 1e-10 * max(1.0, np.max(np.abs(A))):
+            if np.max(np.abs(A + A.T)) > RANK_TOL * np.max(np.abs(A)):
                 raise ValueError("2-form matrix must be antisymmetric")
             mats.append(A)
         self.matrices = mats
@@ -183,14 +183,14 @@ def _darboux_basis(A):
     for _ in range(n):
         pair = U.T @ A @ U
         i, k = np.unravel_index(np.argmax(np.abs(pair)), pair.shape)
-        if abs(pair[i, k]) < RANK_TOL * max(1.0, np.max(np.abs(A))):
+        if not abs(pair[i, k]) > RANK_TOL * np.max(np.abs(A)):
             raise Degenerate("form is degenerate on the remaining space")
-        u = U[:, i]
-        z = U[:, k] / pair[i, k]
-        vs.append(u)
-        ws.append(z)
-        constraints = np.vstack([(A @ u), (A @ z)]).T
-        coords = _nullspace((U.T @ constraints).T)
+        # v = U_i / r and w = U_k r / pair have v^T A w = 1 and equal
+        # norms, so every block of B^T A B is of unit size
+        r = np.sqrt(abs(pair[i, k]))
+        vs.append(U[:, i] / r)
+        ws.append(U[:, k] * (r / pair[i, k]))
+        coords = _nullspace((U.T @ A @ U[:, [i, k]]).T)
         U = U @ coords
     return np.column_stack(vs + ws)
 
@@ -208,7 +208,8 @@ def standard_basis(P):
     if s == 1:
         B = _darboux_basis(P.matrices[0])
         sb = StandardBasis(n, s, B)
-        if sb.normal_form_residual(P) > 1e-10 * max(1.0, np.max(np.abs(P.matrices[0]))):
+        # the Darboux blocks are of unit size: the residual needs no scale
+        if not sb.normal_form_residual(P) <= 1e-10:
             raise Degenerate("pairing construction failed to reach normal form")
         return sb
 

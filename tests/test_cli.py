@@ -19,6 +19,13 @@ ROOT = Path(__file__).resolve().parent.parent
 CHART = "demos/charts/quartic1d.cfg"
 # cos(2 pi 6 y1): three fibre samples alias it to a constant
 ALIASED = json.dumps({"terms": [{"axes": [], "freq": [0, 6], "cos": 1.0}]})
+# modes with fibre frequencies, feeding the transform at j = 0 (dy1) and
+# j = 1 (dx); over the fibre they integrate to exactly zero
+FIBRE_MODES = json.dumps({"terms": [
+    {"axes": [1], "freq": [0, 1], "cos": 1.0},
+    {"axes": [1], "freq": [1, 0], "cos": 1.0},
+    {"axes": [0], "freq": [0, 2], "sin": 1.0},
+    {"axes": [0], "freq": [1, 0], "cos": 1.0}]})
 
 
 def run_json(capsys, argv):
@@ -313,8 +320,11 @@ def test_chart_overflowing_on_its_grid_is_a_failed_report(capsys, tmp_path):
     ["fm", "--tau=1e-3i", "--t=1e3i"],
     ["mirror", "--tau=1i", "--t=1e-13i"],
     ["fm", "--tau=1i", "--t=1e-13i"],
+    ["fm", "--tau=1e-150i", "--t=1e3i", f"--alpha={FIBRE_MODES}", "--j=0"],
+    ["fm", "--tau=1e-150i", "--t=1e3i", f"--alpha={FIBRE_MODES}", "--j=1"],
 ], ids=["mirror-ratio-1e6", "fm-ratio-1e6", "mirror-ratio-1e-13",
-        "fm-ratio-1e-13"])
+        "fm-ratio-1e-13", "fm-fibre-modes-ratio-1e153-j0",
+        "fm-fibre-modes-ratio-1e153-j1"])
 def test_moduli_far_apart_pass(capsys, argv):
     code, rep = run_json(capsys, argv)
     assert code == 0

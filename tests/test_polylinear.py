@@ -130,6 +130,20 @@ def test_single_form_agrees_with_schur_oracle():
         assert np.linalg.matrix_rank(A, tol=1e-8) == 2 * n
 
 
+@pytest.mark.parametrize("c", [1e-11, 1e-100, 1e100])
+def test_single_form_decisions_are_scale_free(c):
+    rng = np.random.default_rng(14)
+    P = pulled_back(normal_form(2, 1, metric=False), well_conditioned(rng, 4))
+    A = c * P.matrices[0]
+    sb = standard_basis(PolyStructure(2, 1, [A]))
+    want = pl._canonical_matrix(2, 1, 1)
+    assert np.max(np.abs(sb.matrix.T @ A @ sb.matrix - want)) < 1e-9
+    # a symmetric part as large as 1e-6 of the form is no roundoff
+    bent = A + 1e-6 * c * np.eye(4)
+    with pytest.raises(ValueError, match="antisymmetric"):
+        PolyStructure(2, 1, [bent])
+
+
 # ---------------------------------------------------------------------------
 # is_compatible
 
