@@ -176,9 +176,10 @@ class PotentialChart:
                 H[i, j] = H[j, i] = K.derivative(tuple(e))
         return H
 
-    def hessian_fd(self, x, step=1e-4):
+    def hessian_fd(self, x):
         x = np.asarray(x, dtype=float)
         n = self.n
+        step = 1e-4
         H = np.empty((n, n))
         f0 = self.value(x)
         for i in range(n):
@@ -234,10 +235,9 @@ class FormField:
     jet_builder(p, order) returns {axis mask: Jet in the full-space order}.
     """
 
-    def __init__(self, dim, jet_builder, name=""):
+    def __init__(self, dim, jet_builder):
         self.dim = int(dim)
         self._builder = jet_builder
-        self.name = name
 
     def jets(self, p, order):
         return self._builder(np.asarray(p, dtype=float), order)
@@ -250,10 +250,9 @@ class FormField:
 class MetricField:
     """Symmetric matrix field with jet-valued entries."""
 
-    def __init__(self, dim, jet_builder, name=""):
+    def __init__(self, dim, jet_builder):
         self.dim = int(dim)
         self._builder = jet_builder
-        self.name = name
 
     def jets(self, p, order):
         return self._builder(np.asarray(p, dtype=float), order)
@@ -367,10 +366,10 @@ class FieldStructure:
         d = 3 * n
         return cls(
             n,
-            FormField(d, _const_form_builder(d, O1), "omega1"),
-            FormField(d, _const_form_builder(d, O2), "omega2"),
-            FormField(d, _const_form_builder(d, OD), "omegaD"),
-            MetricField(d, _const_metric_builder(d, h), "h"),
+            FormField(d, _const_form_builder(d, O1)),
+            FormField(d, _const_form_builder(d, O2)),
+            FormField(d, _const_form_builder(d, OD)),
+            MetricField(d, _const_metric_builder(d, h)),
             periods=periods,
         )
 
@@ -431,10 +430,10 @@ def build_XY(C):
     def metric_builder(p, order):
         return cache.at(p, order)["h"]
 
-    F.omega1 = FormField(d, pairing_builder(1), "omega1")
-    F.omega2 = FormField(d, pairing_builder(2), "omega2")
-    F.omegaD = FormField(d, dual_builder, "omegaD")
-    F.h = MetricField(d, metric_builder, "h")
+    F.omega1 = FormField(d, pairing_builder(1))
+    F.omega2 = FormField(d, pairing_builder(2))
+    F.omegaD = FormField(d, dual_builder)
+    F.h = MetricField(d, metric_builder)
     return F
 
 
@@ -442,7 +441,7 @@ def build_XY(C):
 # calculus on fields
 
 
-def exterior_derivative(F, p, method="ad", step=1e-4, richardson=False):
+def exterior_derivative(F, p, method="ad", richardson=False):
     """d of a form field at a point, by jets or by central differences."""
     if method == "ad":
         out = {}
@@ -474,6 +473,7 @@ def exterior_derivative(F, p, method="ad", step=1e-4, richardson=False):
                 out[m2] = out.get(m2, 0.0) + sign * dc
         return Multivector(F.dim, out)
 
+    step = 1e-4
     if not richardson:
         return fd_at(step)
     coarse = fd_at(step)
@@ -654,8 +654,7 @@ def fibre_product(n, factor1, factor2):
 # leaf integrability
 
 
-def leaf_integrability_check(F, p, which=("omega1", "omega2"), step=1e-5,
-                             tol=1e-8):
+def leaf_integrability_check(F, p, which=("omega1", "omega2")):
     """Frobenius closure test for the sum of the chosen form kernels.
 
     A smooth local frame comes from projecting fixed seed vectors onto the
@@ -687,6 +686,7 @@ def leaf_integrability_check(F, p, which=("omega1", "omega2"), step=1e-5,
     Pi = basis @ basis.T
 
     jac = []
+    step = 1e-5
     for i in range(len(frames)):
         J = np.empty((d, d))
         for c in range(d):
@@ -703,7 +703,7 @@ def leaf_integrability_check(F, p, which=("omega1", "omega2"), step=1e-5,
     # the 0.0 stands for a single frame field, which has no brackets
     residual = rp.worst([0.0] + [leak(a, b) for a in range(len(frames))
                                  for b in range(a + 1, len(frames))])
-    return {"integrable": residual < tol, "residual": residual,
+    return {"integrable": residual < 1e-8, "residual": residual,
             "dimension": rank}
 
 
@@ -711,14 +711,14 @@ def leaf_integrability_check(F, p, which=("omega1", "omega2"), step=1e-5,
 # fixtures and configuration
 
 
-def chart_grid(C, count, seed=0, fibre_box=(0.0, 1.0)):
-    """Low-discrepancy sample of the total space over a chart."""
+def chart_grid(C, count, seed=0):
+    """Low-discrepancy sample of the total space; fibres in [0, 1]."""
     xs = sample_box(C.domain, count, seed)
-    ys = sample_box([fibre_box] * (2 * C.n), count, seed + 101)
+    ys = sample_box([(0.0, 1.0)] * (2 * C.n), count, seed + 101)
     return np.hstack([xs, ys])
 
 
-def random_convex_polynomial(n, rng, box=0.8):
+def random_convex_polynomial(n, rng):
     """Random potential: definite quadratic core plus small cubic/quartic."""
     q = np.linalg.qr(rng.normal(size=(n, n)))[0]
     A = q @ np.diag(rng.uniform(1.0, 2.0, size=n)) @ q.T
@@ -741,7 +741,7 @@ def random_convex_polynomial(n, rng, box=0.8):
         key = tuple(e)
         terms[key] = terms.get(key, 0.0) + rng.uniform(0.0, 0.05)
     pot = PolynomialPotential(n, terms)
-    return PotentialChart(pot, [(-box, box)] * n)
+    return PotentialChart(pot, [(-0.8, 0.8)] * n)
 
 
 def _potential_from_config(cfg):

@@ -114,6 +114,9 @@ def suite_verify_pointwise(n, s, trials, seed, tol_rank):
     return rp.make_report("verify-pointwise", config, checks)
 
 
+# jets that overflow reach the records as inf or NaN FAILs, so numpy
+# need not warn about them
+@np.errstate(over="ignore", invalid="ignore")
 def suite_affine_check(chart, points, seed, tol_field):
     try:
         with open(chart) as fh:
@@ -139,15 +142,8 @@ def suite_affine_check(chart, points, seed, tol_field):
     return rp.make_report("affine-check", config, checks, data)
 
 
-def _moduli(tau, t):
-    # omega1's coefficient Im t / Im tau must survive Multivector's prune
-    if not t.imag / tau.imag >= 1e-13:
-        raise ConfigError("Im t / Im tau must be at least 1e-13")
-    return el.EllipticParams(tau, t)
-
-
 def suite_mirror(tau, t, tol_identity):
-    p = _moduli(tau, t)
+    p = el.EllipticParams(tau, t)
     data, F = el.build_X(p)
     first, second = el.recover_mirror_pair(data)
     round_trip = rp.worst([
@@ -195,7 +191,7 @@ def _parse_alpha(text, base_period):
 
 
 def suite_fm(tau, t, alpha, j, samples):
-    p = _moduli(tau, t)
+    p = el.EllipticParams(tau, t)
     _, X = el.build_X(p)
     form = _parse_alpha(alpha, p.tau2)
     # the trapezoid rule over the fibre is exact only below Nyquist

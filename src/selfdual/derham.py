@@ -21,7 +21,6 @@ from . import liealg
 from . import report as rp
 
 TWO_PI = 2.0 * np.pi
-PRUNE_EPS = 1e-15
 
 
 def _canonical(k):
@@ -46,7 +45,8 @@ class FourierForm:
 
     A coefficient is a (cos, sin) tuple or a bare number for a pure cos
     term. The constructor accepts any frequency sign and both k and -k;
-    it canonicalizes, sums and drops coefficients below PRUNE_EPS.
+    it canonicalizes, sums and drops a (cos, sin) pair only when both
+    are exactly zero, so a NaN or a coefficient of any size is kept.
     periods defaults to the unit torus. note carries flags raised while
     producing the form (degree clipping in the fibre transform).
     """
@@ -73,12 +73,9 @@ class FourierForm:
                 a, b = ab if isinstance(ab, tuple) else (ab, 0.0)
                 old = slot.get(mask, (0.0, 0.0))
                 slot[mask] = (old[0] + float(a), old[1] + flip * float(b))
-        # written so that a NaN coefficient is kept and reaches a check
         self.terms = {
             k: kept for k, masks in table.items()
-            if (kept := {m: ab for m, ab in masks.items()
-                         if not (abs(ab[0]) <= PRUNE_EPS
-                                 and abs(ab[1]) <= PRUNE_EPS)})
+            if (kept := {m: ab for m, ab in masks.items() if ab[0] or ab[1]})
         }
 
     @classmethod
@@ -395,7 +392,7 @@ def harmonic_action(n, alpha, beta):
     for col in range(fibre):
         F = FourierForm(dim, {k0: {col: (1.0, 0.0)}})
         G = apply_operator(M, F)
-        if laplacian(G).norm() > 1e-12:
+        if laplacian(G).terms:
             raise AssertionError("harmonic subspace was not preserved")
         for mask, (a, _) in G.terms.get(k0, {}).items():
             out[mask, col] = a

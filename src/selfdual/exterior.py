@@ -11,8 +11,8 @@ sparse map from bitmask to float64 coefficient, expressed in the
 increasing-axis-order basis.  Every sign in the package derives from this
 single ordering.
 
-Coefficients of absolute value at most PRUNE_EPS are dropped on
-construction, so operator compositions stay sparse; a NaN is kept.
+A coefficient is dropped on construction only when it is exactly zero,
+so a coefficient of any size, and a NaN, is kept.
 Multivectors are treated as immutable values; all operations return new
 objects.
 """
@@ -20,8 +20,6 @@ objects.
 from __future__ import annotations
 
 import numpy as np
-
-PRUNE_EPS = 1e-14
 
 
 class GeometryError(Exception):
@@ -110,7 +108,7 @@ class Multivector:
                 if not 0 <= mask < top:
                     raise ValueError("axis set out of range for dimension %d" % dim)
                 c = float(c)
-                if not abs(c) <= PRUNE_EPS:  # keeps NaN
+                if c != 0:
                     clean[mask] = c
         self.terms = clean
 
@@ -236,7 +234,7 @@ def _check_metric(g, dim):
     g = np.asarray(g, dtype=float)
     if g.shape != (dim, dim):
         raise ValueError("metric shape %s does not match dimension %d" % (g.shape, dim))
-    if not np.allclose(g, g.T, atol=1e-12):
+    if not np.allclose(g, g.T, atol=1e-12 * np.max(np.abs(g))):
         raise ValueError("metric not symmetric")
     try:
         np.linalg.cholesky(g)

@@ -241,12 +241,15 @@ def standard_basis(P):
             raise Degenerate("dual solve is singular")
         ws.append(us[j] @ np.linalg.inv(Mj))
 
-    B = np.hstack([v] + ws)
+    # v / r and w^j r keep v^T A_j w^j = I and have equal sizes, so every
+    # block of B^T A_j B is of unit size and the residual needs no scale
+    r = np.sqrt(np.max(np.abs(v)) / max(np.max(np.abs(w)) for w in ws))
+    B = np.hstack([v / r] + [w * r for w in ws])
     ortho = False
     if P.metric is not None:
         ortho = np.max(np.abs(B.T @ P.metric @ B - np.eye(d))) < 1e-9
     sb = StandardBasis(n, s, B, orthonormal=ortho)
-    if sb.normal_form_residual(P) > 1e-10 * max(1.0, scale):
+    if not sb.normal_form_residual(P) <= 1e-10:
         raise Degenerate("normal form verification failed")
     return sb
 
@@ -376,13 +379,13 @@ def is_block_compatible(g, P):
     g = np.asarray(g, dtype=float)
     ext._check_metric(g, P.dim)
     Fj = P.kernel_blocks()
-    scale = max(1.0, float(np.max(np.abs(g))))
+    scale = np.max(np.abs(g))
     for j in range(P.s):
         for k in range(j + 1, P.s):
             if np.max(np.abs(Fj[j].T @ g @ Fj[k])) > COMPAT_TOL * scale:
                 return False
     W = _orthocomplement(g, np.hstack(Fj))
-    fscale = max(1.0, max(float(np.max(np.abs(A))) for A in P.matrices))
+    fscale = max(np.max(np.abs(A)) for A in P.matrices)
     for A in P.matrices:
         if np.max(np.abs(W.T @ A @ W)) > COMPAT_TOL * fscale:
             return False
@@ -400,7 +403,7 @@ def interpolate_block_compatible(g1, g2, P, t):
     if not is_block_compatible(g2, P):
         raise GeometryError("second metric is not block-compatible")
     F = P.kernel_sum()
-    scale = max(1.0, float(np.max(np.abs(g1))), float(np.max(np.abs(g2))))
+    scale = max(np.max(np.abs(g1)), np.max(np.abs(g2)))
     if np.max(np.abs(F.T @ (g1 - g2) @ F)) > COMPAT_TOL * scale:
         raise GeometryError("metrics disagree on the kernel sum")
     gt = t * g1 + (1.0 - t) * g2
@@ -439,7 +442,7 @@ def metric_from_data(g1, W, P):
     e0 = np.linalg.qr(W)[0]
     if _rank(W) < n or _rank(np.hstack([e0, *Fj])) != d:
         raise GeometryError("subspace is not complementary to the kernel sum")
-    fscale = max(1.0, max(float(np.max(np.abs(A))) for A in P.matrices))
+    fscale = max(np.max(np.abs(A)) for A in P.matrices)
     for A in P.matrices:
         if np.max(np.abs(e0.T @ A @ e0)) > 1e-8 * fscale:
             raise GeometryError("complement is not isotropic for the forms")

@@ -26,6 +26,13 @@ def test_constructor_canonicalizes_and_validates():
         FourierForm(2, {(0, 0): {16: (1.0, 0.0)}})
 
 
+def test_only_exact_zeros_are_dropped():
+    F = FourierForm(2, {(0, 1): {0: (1e-300, 0.0), 1: (0.0, -1e-300),
+                                 2: (0.0, -0.0)},
+                        (1, 0): {0: (-0.0, 0.0)}})
+    assert F.terms == {(0, 1): {0: (1e-300, 0.0), 1: (0.0, -1e-300)}}
+
+
 def test_from_table_reads_the_coefficient_table():
     rng = np.random.default_rng(5)
     for dim in (2, 3):

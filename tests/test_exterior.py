@@ -191,6 +191,15 @@ def test_inner_rejects_non_spd_metric():
         inner(a, a, np.diag([1.0, -1.0]))
 
 
+@pytest.mark.parametrize("c", [1.0, 1e-20, 1e-150])
+def test_inner_rejects_asymmetric_metric_at_any_scale(c):
+    a = Multivector.basis(2, [0])
+    with pytest.raises(ValueError, match="not symmetric"):
+        inner(a, a, c * np.array([[1.0, 0.5], [0.4, 1.0]]))
+    g = c * np.array([[1.0, 0.5], [0.5, 1.0]])
+    assert inner(a, a, g) == pytest.approx(c, rel=1e-12)
+
+
 def test_inner_orthogonal_invariance():
     rng = np.random.default_rng(6)
     for _ in range(100):
@@ -259,8 +268,9 @@ def test_form_matrix_round_trip():
 
 
 def test_zero_pruning_and_axis_names():
-    mv = Multivector(3, {0b001: 1e-16, 0b010: 1.0})
-    assert 0b001 not in mv.terms
+    # only an exact zero is dropped, whatever the size of the rest
+    mv = Multivector(3, {0b001: 1e-300, 0b010: 0.0, 0b100: -0.0})
+    assert mv.terms == {0b001: 1e-300}
     assert ext.axis_names(2, 2) == ["x1", "x2", "y1_1", "y1_2", "y2_1", "y2_2"]
     assert ext.axis_count(2, 2) == 6
 

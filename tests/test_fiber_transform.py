@@ -307,6 +307,12 @@ def test_period_mismatch_rejected():
         transform(one_form(), 1, X)              # base period is 2
     ok = FourierForm.constant(2, {0: 1.0}, periods=[2.0, 1.0])
     transform(ok, 1, X)
+    # periods far below any absolute tolerance still have to match
+    _, X = build_X(EllipticParams(1e-150j, 1j))
+    tiny = FourierForm.constant(2, {0: 1.0}, periods=[3e-150, 1.0])
+    with pytest.raises(ValueError, match="periods"):
+        transform(tiny, 1, X)
+    transform(FourierForm.constant(2, {0: 1.0}, periods=[1e-150, 1.0]), 1, X)
 
 
 def test_non_flat_structure_rejected():

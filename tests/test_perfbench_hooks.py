@@ -1,8 +1,10 @@
-"""The benchmark's tracing hooks name bindings that exist.
+"""The benchmark's hooks and report checks hold on the live package.
 
 `perfbench/spans.py` wraps module globals and class attributes of the
 package by name; a renamed or deleted one would crash a traced benchmark
-run. This test only reads `perfbench/`.
+run. `perfbench/workloads.py` pins each benchmarked report's check ids,
+config echo and data; a report that drifts from them fails every
+benchmark op. These tests only read `perfbench/`.
 """
 
 import importlib
@@ -11,17 +13,41 @@ import pkgutil
 from pathlib import Path
 
 import selfdual
+from selfdual.cli import main
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_traced_binding_exists():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = load("spans")
     modules = {info.name: importlib.import_module(f"selfdual.{info.name}")
                for info in pkgutil.iter_modules(selfdual.__path__)}
     table = spans.bindings(modules)
     missing = [name for owner, attr, name, _, _ in table
                if not callable(vars(owner).get(attr))]
     assert table and not missing
+
+
+def test_benchmark_report_checks_pass(capsys, tmp_path, monkeypatch):
+    # the generator writes the chart configs under the working directory
+    monkeypatch.chdir(tmp_path)
+    wl = load("workloads")
+    ops = [wl.make_cycle("suite-all", 1)[0],
+           wl.make_cycle("chart-grid", 1)[0],
+           wl.Op(["rep-check", "--n", "1"], wl._rep_expect(1)),
+           wl.Op(["skaid-check", "--n", "1", "--N", "4", "--samples", "5",
+                  "--seed", "0"], wl._skaid_expect(1, 4, 5, 0))]
+    problems = {}
+    for op in ops:
+        code = main(list(op.argv))
+        problems[" ".join(op.argv)] = wl.check_op(op, code,
+                                                  capsys.readouterr().out)
+    assert not any(problems.values()), problems

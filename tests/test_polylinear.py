@@ -144,6 +144,16 @@ def test_single_form_decisions_are_scale_free(c):
         PolyStructure(2, 1, [bent])
 
 
+@pytest.mark.parametrize("c", [1e-100, 1e-11, 1e-6, 1e10, 1e100])
+@pytest.mark.parametrize("n,s", [(1, 2), (2, 2), (2, 3)])
+def test_standard_basis_is_scale_free(n, s, c):
+    rng = np.random.default_rng(3)
+    P = pulled_back(normal_form(n, s, metric=False),
+                    well_conditioned(rng, n * (s + 1)))
+    Q = PolyStructure(n, s, [c * A for A in P.matrices])
+    assert standard_basis(Q).normal_form_residual(Q) < 1e-13
+
+
 # ---------------------------------------------------------------------------
 # is_compatible
 
@@ -370,6 +380,24 @@ def test_interpolate_rejects_non_block_compatible():
     g1[1, 2] = g1[2, 1] = 0.5  # couples the two fibre blocks
     with pytest.raises(GeometryError):
         interpolate_block_compatible(g1, np.eye(3), P, 0.5)
+
+
+@pytest.mark.parametrize("c", [1e-12, 1e-100])
+def test_block_decisions_are_scale_free(c):
+    P = normal_form(1, 2, metric=False)
+    coupled = np.eye(3)
+    coupled[1, 2] = coupled[2, 1] = 0.5  # couples the two fibre blocks
+    assert is_block_compatible(c * np.eye(3), P)
+    assert not is_block_compatible(c * coupled, P)
+    with pytest.raises(GeometryError, match="disagree"):
+        interpolate_block_compatible(c * np.diag([1.0, 2.0, 1.0]),
+                                     c * np.diag([1.0, 3.0, 1.0]), P, 0.5)
+    # span(x1, x2 + y1_1) is not isotropic for omega_1, at any form scale
+    Q = PolyStructure(2, 2, [c * A for A in normal_form(2, 2).matrices])
+    W = np.zeros((6, 2))
+    W[0, 0] = W[1, 1] = W[2, 1] = 1.0
+    with pytest.raises(GeometryError, match="not isotropic"):
+        metric_from_data(np.eye(6), W, Q)
 
 
 def test_interpolate_parameter_range():
