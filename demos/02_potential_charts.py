@@ -32,6 +32,6 @@ print("covariant constancy at a point:",
 
 # Charts also load from JSON configs (see demos/charts/).
 cfg = json.load(open("demos/charts/lse2d.cfg"))
-C2, _ = ch.chart_from_config(cfg)
+C2 = ch.chart_from_config(cfg)
 print("\nlse2d chart, Hessian at the origin:")
 print(np.round(ch.hessian_metric(C2, [0.0, 0.0]), 4))

@@ -141,11 +141,7 @@ class PotentialChart:
             raise ValueError("domain box must be finite and non-empty")
         if validate:
             for x in sample_box(self.domain, validation_points, seed):
-                H = self.hessian(x)
-                lo = np.linalg.eigvalsh(H)[0]
-                if lo < 1e-6:
-                    raise NotConvexHere(
-                        f"Hessian eigenvalue {lo:.3e} at {x} below 1e-6")
+                _require_definite(self.hessian(x), x)
 
     def contains(self, x, slack=1e-9):
         return all(a - slack <= xi <= b + slack
@@ -177,6 +173,7 @@ class PotentialChart:
         return H
 
     def hessian_fd(self, x):
+        """Central-difference Hessian, the cross-check of `hessian`."""
         x = np.asarray(x, dtype=float)
         n = self.n
         step = 1e-4
@@ -196,21 +193,21 @@ class PotentialChart:
         return H
 
 
-def hessian_metric(C, x, check_fd=True):
-    """Positive-definite Hessian metric at x, jets cross-checked by FD."""
-    C._check_domain(x, slack=1e-9)
-    H = C.hessian(x)
-    if check_fd:
-        F = C.hessian_fd(x)
-        scale = max(1.0, float(np.max(np.abs(H))))
-        if np.max(np.abs(H - F)) > 1e-6 * scale:
-            raise GeometryError("jet and finite-difference Hessians disagree")
+def _require_definite(H, x):
+    """The convexity rule: H finite and Cholesky-factorable, at any scale."""
     if not np.all(np.isfinite(H)):  # Cholesky lets NaN through
         raise NotConvexHere(f"Hessian not finite at {x}")
     try:
         np.linalg.cholesky(H)
     except np.linalg.LinAlgError:
         raise NotConvexHere(f"Hessian not positive definite at {x}") from None
+
+
+def hessian_metric(C, x):
+    """Positive-definite Hessian metric at x, by jets."""
+    C._check_domain(x, slack=1e-9)
+    H = C.hessian(x)
+    _require_definite(H, x)
     return H
 
 
@@ -218,7 +215,7 @@ def monge_ampere_residual(C, grid):
     """Spread of det(Hessian) over the grid; zero for affine-sphere charts,
     inf where the Hessian is not definite."""
     try:
-        dets = np.array([np.linalg.det(hessian_metric(C, x, check_fd=False))
+        dets = np.array([np.linalg.det(hessian_metric(C, x))
                          for x in np.atleast_2d(grid)])
     except NotConvexHere:
         return np.inf
@@ -515,7 +512,7 @@ def verify_weak_selfdual(F, grid, tol=1e-8):
 def verify_fibre_metric(F, points):
     """Records `fibre-volume-product` and `pointwise-compatibility`."""
     def residuals(p):
-        g = hessian_metric(F.chart, p[: F.n], check_fd=False)
+        g = hessian_metric(F.chart, p[: F.n])
         return {"volume": abs(fibre_volume_product(g) - 1.0),
                 "witness": pl.is_compatible(F.structure_at(p)).residual}
 
@@ -761,11 +758,10 @@ def _potential_from_config(cfg):
 
 
 def chart_from_config(cfg):
-    """Build a chart from a parsed config mapping; returns (chart, cfg)."""
+    """Build a chart from a parsed config mapping."""
     pot = _potential_from_config(cfg["potential"])
     domain = cfg["domain"]
-    chart = PotentialChart(
+    return PotentialChart(
         pot, domain,
         validation_points=int(cfg.get("validation_points", 64)),
         seed=int(cfg.get("seed", 0)))
-    return chart, cfg

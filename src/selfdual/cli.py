@@ -125,7 +125,7 @@ def suite_affine_check(chart, points, seed, tol_field):
                    for key, domain, default in (
                        ("seed", SEED, 0), ("validation_points", POINTS, 64),
                        ("grid_size", POINTS, 100))}
-        C, _ = ch.chart_from_config(raw)
+        C = ch.chart_from_config(raw)
     except (OSError, ValueError, KeyError, TypeError, AttributeError,
             RecursionError, ConfigError, ch.GeometryError) as exc:
         raise ConfigError(f"chart config {chart}: {exc}") from None

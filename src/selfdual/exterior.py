@@ -30,17 +30,6 @@ class NotPositiveDefinite(GeometryError):
     pass
 
 
-def axis_count(n, s):
-    return n * (s + 1)
-
-
-def axis_names(n, s):
-    names = ["x%d" % (i + 1) for i in range(n)]
-    for j in range(1, s + 1):
-        names += ["y%d_%d" % (j, i + 1) for i in range(n)]
-    return names
-
-
 def mask_axes(mask):
     """Sorted list of axis positions present in the bitmask."""
     out = []

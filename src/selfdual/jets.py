@@ -38,7 +38,6 @@ class JetSpace:
         self.monomials = _monomials(nvars, order)
         self.size = len(self.monomials)
         self.index = {m: i for i, m in enumerate(self.monomials)}
-        self.degrees = np.array([sum(m) for m in self.monomials])
 
         mi, mj, mk = [], [], []
         for i, a in enumerate(self.monomials):
@@ -125,11 +124,6 @@ class Jet:
         out = np.zeros(sp.size)
         np.add.at(out, sp._ddst[v], sp._dscale[v] * self.c[sp._dsrc[v]])
         return Jet(sp, out)
-
-    def truncated(self, order):
-        out = self.c.copy()
-        out[self.space.degrees > order] = 0.0
-        return Jet(self.space, out)
 
     def embed(self, target, var_map):
         """Reinterpret in a larger space, source variable i -> var_map[i]."""

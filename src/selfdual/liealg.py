@@ -6,6 +6,10 @@ adjoint contraction operators (so with the default s = 2, labels are
 {0,1,2} and bars {3,4,5}). All matrices act on the canonical exterior
 basis of the 3n-dimensional (generally (s+1)n-dimensional) model space,
 in its orthonormal standard frame.
+
+Each operator is composed on basis bitmasks from the one-axis wedge and
+contraction maps of `exterior`, which own the sign rule; the result is a
+dense matrix.
 """
 
 import numpy as np
@@ -27,67 +31,32 @@ def is_barred(alpha, s=2):
     return alpha > s
 
 
-def grade_signature(alpha, beta, s=2):
-    """Net grade shift of L(alpha, beta)."""
-    return sum(-1 if is_barred(a, s) else 1 for a in (alpha, beta))
-
-
 def _check_label(alpha, s):
     if not 0 <= alpha <= 2 * s + 1:
         raise ValueError(f"label {alpha} outside 0..{2 * s + 1}")
 
 
-def basis_op(n, alpha, i, s=2):
-    """Wedge (unbarred) or contraction (barred) with one frame axis.
-
-    i is the 1-based axis index inside the block; the result is the
-    dense matrix on the 2^{(s+1)n} exterior basis.
-    """
-    _check_label(alpha, s)
-    if not 1 <= i <= n:
-        raise ValueError(f"axis index {i} outside 1..{n}")
-    d = (s + 1) * n
-    axis = (alpha % (s + 1)) * n + (i - 1)
-    dim = 1 << d
-    M = np.zeros((dim, dim))
-    for m in range(dim):
-        if is_barred(alpha, s):
-            hit = ext.contract_axis(m, axis)
-        else:
-            hit = ext.wedge_axis(m, axis)
-        if hit is not None:
-            m2, sign = hit
-            M[m2, m] = sign
-    return M
-
-
 def L(n, alpha, beta, s=2):
-    """Sum over axes of the composed pair of basis operators."""
+    """Sum over the n axes of the block pair: per basis mask, the one-axis
+    map of beta, then that of alpha, with the product of their signs."""
     _check_label(alpha, s)
     _check_label(beta, s)
     dim = 1 << ((s + 1) * n)
     M = np.zeros((dim, dim))
-    for i in range(1, n + 1):
-        M += basis_op(n, alpha, i, s) @ basis_op(n, beta, i, s)
+    op_a, op_b = (ext.contract_axis if is_barred(a, s) else ext.wedge_axis
+                  for a in (alpha, beta))
+    for i in range(n):
+        ax_a, ax_b = ((a % (s + 1)) * n + i for a in (alpha, beta))
+        for m in range(dim):
+            first = op_b(m, ax_b)
+            second = first and op_a(first[0], ax_a)
+            if second:
+                M[second[0], m] += first[1] * second[1]
     return M
 
 
 def commutator(A, B):
     return A @ B - B @ A
-
-
-def pairing_ops(n, s=2):
-    """The wedge operators of the s pairing forms and the dual form.
-
-    Returns {"L1": L(0,1), ..., "L0": L(1,2)} for s = 2; for s = 1 only
-    the single pairing operator is produced.
-    """
-    out = {}
-    for j in range(1, s + 1):
-        out[f"L{j}"] = L(n, 0, j, s)
-    if s == 2:
-        out["L0"] = L(n, 1, 2, s)
-    return out
 
 
 def chevalley_basis(n):

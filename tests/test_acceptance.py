@@ -41,7 +41,7 @@ def test_criterion_1_chart_self_duality(capsys):
             worst_d = max(
                 worst_d, ch.exterior_derivative(F.field("omegaD"), p).norm())
         for x in grid[:, :n][::10]:
-            g = ch.hessian_metric(C, x, check_fd=False)
+            g = ch.hessian_metric(C, x)
             worst_vol = max(worst_vol,
                             abs(ch.fibre_volume_product(g) - 1.0))
     elapsed = time.perf_counter() - start

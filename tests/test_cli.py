@@ -296,11 +296,15 @@ def test_non_convex_grid_point_is_a_failed_record(capsys, tmp_path):
     assert rep["data"]["monge_ampere_residual"] == "inf"
 
 
+# x**2 overflows far out on this domain, where the Hessian turns NaN
+OVERFLOWING = {"potential": {"terms": {"2": 1.0}},
+               "domain": [[-1.0, 1e300]], "grid_size": 5}
+
+
 def test_chart_overflowing_on_its_grid_is_a_failed_report(capsys, tmp_path):
-    # x**2 overflows far out on the domain, where the Hessian turns NaN
+    # the one validation point, x = -1, is finite; grid points are not
     path = tmp_path / "overflow.cfg"
-    path.write_text(json.dumps({"potential": {"terms": {"2": 1.0}},
-                                "domain": [[-1.0, 1e300]], "grid_size": 5}))
+    path.write_text(json.dumps(dict(OVERFLOWING, validation_points=1)))
     code = main(["affine-check", "--chart", str(path)])
     rep = json.loads(capsys.readouterr().out)
     assert code == 1
@@ -310,6 +314,24 @@ def test_chart_overflowing_on_its_grid_is_a_failed_report(capsys, tmp_path):
     # the overflowed forms carry NaN, which must not read as zero
     assert records["dual-form-closed"]["residual"] == "nan"
     assert records["dual-form-closed"]["verdict"] == "FAIL"
+
+
+def test_chart_overflowing_at_a_validation_point_exits_two(capsys, tmp_path):
+    path = tmp_path / "overflow.cfg"
+    path.write_text(json.dumps(OVERFLOWING))
+    assert main(["affine-check", "--chart", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Hessian not finite at" in captured.err
+
+
+@pytest.mark.parametrize("c", [1e-12, 1e-7, 1e7])
+def test_convexity_is_scale_free(capsys, tmp_path, c):
+    # c x**2 is convex at every scale c > 0
+    path = chart_file(tmp_path, potential={"terms": {"2": c}})
+    code, rep = run_json(capsys, ["affine-check", "--chart", path])
+    assert code == 0
+    assert all(check["verdict"] == "PASS" for check in rep["checks"])
 
 
 @pytest.mark.parametrize("argv", [

@@ -267,12 +267,10 @@ def test_form_matrix_round_trip():
     assert abs(ext.evaluate(w, [u, v]) - u @ A @ v) < 1e-10
 
 
-def test_zero_pruning_and_axis_names():
+def test_zero_pruning():
     # only an exact zero is dropped, whatever the size of the rest
     mv = Multivector(3, {0b001: 1e-300, 0b010: 0.0, 0b100: -0.0})
     assert mv.terms == {0b001: 1e-300}
-    assert ext.axis_names(2, 2) == ["x1", "x2", "y1_1", "y1_2", "y2_1", "y2_2"]
-    assert ext.axis_count(2, 2) == 6
 
 
 def test_nan_coefficient_is_kept():

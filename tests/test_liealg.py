@@ -1,9 +1,9 @@
 """Operator algebra tests.
 
 Oracles: the general exterior product/contraction routines applied to
-random multivectors (a separate code path from the axis-at-a-time matrix
-fill), the canonical anticommutation table, and brute-force closure for
-the generated dimension.
+random multivectors (a separate code path from the one-axis bitmask maps
+that build the matrices), the canonical anticommutation table, and
+brute-force closure for the generated dimension.
 """
 
 import numpy as np
@@ -13,9 +13,9 @@ from selfdual import exterior as ext
 from selfdual import liealg
 from selfdual.exterior import Multivector
 from selfdual.liealg import (
-    CARTAN_A3, L, bar, basis_op, chevalley_basis, closure_basis, commutator,
-    generated_dimension, grade_signature, pairing_ops, relation_domains,
-    trace_form, verify_chevalley, verify_commutations,
+    CARTAN_A3, L, bar, chevalley_basis, closure_basis, commutator,
+    generated_dimension, relation_domains, trace_form, verify_chevalley,
+    verify_commutations,
 )
 
 
@@ -36,60 +36,51 @@ def random_mv(rng, dim):
 
 
 # ---------------------------------------------------------------------------
-# basis operators
+# L operators
 
 
-def test_wedge_op_on_scalar():
-    E = basis_op(2, 0, 1)
-    one = np.zeros(64)
-    one[0] = 1.0
-    out = vec_to_mv(E @ one, 6)
-    assert (out - Multivector.basis(6, [0])).norm() == 0.0
+def one_axis_op(label, axis, s, d):
+    """Wedge with (unbarred label) or contraction by (barred) one axis,
+    through the general Multivector routines."""
+    if label <= s:
+        return lambda mv: ext.wedge(Multivector.basis(d, [axis]), mv)
+    vec = np.zeros(d)
+    vec[axis] = 1.0
+    return lambda mv: ext.contract(vec, mv)
 
 
-def test_basis_ops_against_multivector_algebra():
+def test_L_against_multivector_algebra():
     rng = np.random.default_rng(51)
-    n, d = 2, 6
-    for alpha in range(6):
-        for i in (1, 2):
-            E = basis_op(n, alpha, i)
-            axis = (alpha % 3) * n + (i - 1)
-            for _ in range(5):
-                mv = random_mv(rng, d)
-                got = vec_to_mv(E @ mv_to_vec(mv, d), d)
-                if alpha <= 2:
-                    want = ext.wedge(Multivector.basis(d, [axis]), mv)
-                else:
-                    vec = np.zeros(d)
-                    vec[axis] = 1.0
-                    want = ext.contract(vec, mv)
-                assert (got - want).norm() < 1e-14
+    for n in (1, 2):
+        for s in (1, 2):
+            d = (s + 1) * n
+            labels = range(2 * (s + 1))
+            for a in labels:
+                for b in labels:
+                    M = L(n, a, b, s)
+                    pairs = [(one_axis_op(a, (a % (s + 1)) * n + i, s, d),
+                              one_axis_op(b, (b % (s + 1)) * n + i, s, d))
+                             for i in range(n)]
+                    for _ in range(3):
+                        mv = random_mv(rng, d)
+                        got = vec_to_mv(M @ mv_to_vec(mv, d), d)
+                        want = sum((op_a(op_b(mv)) for op_a, op_b in pairs),
+                                   Multivector.zero(d))
+                        assert (got - want).norm() < 1e-14, (n, s, a, b)
 
 
 def test_canonical_anticommutation():
-    n = 1
-    dim = 8
-    ops = {(a, 1): basis_op(n, a, 1) for a in range(6)}
     for a in range(6):
         for b in range(6):
-            anti = ops[a, 1] @ ops[b, 1] + ops[b, 1] @ ops[a, 1]
-            want = np.eye(dim) if b == bar(a) else np.zeros((dim, dim))
-            np.testing.assert_allclose(anti, want, atol=1e-14)
+            anti = L(1, a, b) + L(1, b, a)
+            want = np.eye(8) if b == bar(a) else np.zeros((8, 8))
+            np.testing.assert_array_equal(anti, want)
 
 
 def test_index_validation():
-    with pytest.raises(ValueError):
-        basis_op(2, 6, 1)
-    with pytest.raises(ValueError):
-        basis_op(2, 0, 3)
-    with pytest.raises(ValueError):
-        basis_op(2, 0, 0)
-    with pytest.raises(ValueError):
-        L(1, 0, 7)
-
-
-# ---------------------------------------------------------------------------
-# L operators
+    for a, b in ((0, 7), (6, 0), (-1, 0)):
+        with pytest.raises(ValueError):
+            L(1, a, b)
 
 
 def test_pairing_operators_hit_the_three_forms():
@@ -126,17 +117,10 @@ def test_grade_shift():
     for a in range(6):
         for b in range(6):
             M = L(n, a, b)
-            sig = grade_signature(a, b)
+            # a wedge raises the grade by one, a contraction lowers it
+            shift = sum(1 if label <= 2 else -1 for label in (a, b))
             rows, cols = np.nonzero(np.abs(M) > 1e-14)
-            assert np.all(degs[rows] - degs[cols] == sig)
-
-
-def test_pairing_ops_dict():
-    ops = pairing_ops(1)
-    assert set(ops) == {"L1", "L2", "L0"}
-    ops1 = pairing_ops(1, s=1)
-    assert set(ops1) == {"L1"}
-    assert ops1["L1"].shape == (4, 4)
+            assert np.all(degs[rows] - degs[cols] == shift)
 
 
 # ---------------------------------------------------------------------------

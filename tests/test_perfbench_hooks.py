@@ -4,7 +4,10 @@
 package by name; a renamed or deleted one would crash a traced benchmark
 run. `perfbench/workloads.py` pins each benchmarked report's check ids,
 config echo and data; a report that drifts from them fails every
-benchmark op. These tests only read `perfbench/`.
+benchmark op. `perfbench/run.py` predicts, per workload, which wrapped
+bindings an op calls and exactly how often; a refactor that moves a call
+past its wrapper fails the traced run's self-test. These tests only read
+`perfbench/`.
 """
 
 import importlib
@@ -50,4 +53,30 @@ def test_benchmark_report_checks_pass(capsys, tmp_path, monkeypatch):
         code = main(list(op.argv))
         problems[" ".join(op.argv)] = wl.check_op(op, code,
                                                   capsys.readouterr().out)
+    assert not any(problems.values()), problems
+
+
+def test_traced_ops_pass_the_self_test(capsys, tmp_path, monkeypatch):
+    # run.py pins these when imported; monkeypatch restores them after
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.delenv("SELFDUAL_THREADS", raising=False)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.chdir(tmp_path)
+    run = load("run")
+    wl = load("workloads")
+    modules = {info.name: importlib.import_module(f"selfdual.{info.name}")
+               for info in pkgutil.iter_modules(selfdual.__path__)}
+    # one op per workload; rep-check's L and commutator counts per op do
+    # not depend on n, so n = 1 stands in for rep-n3's n = 3
+    ops = {name: wl.make_cycle(name, 1)[0]
+           for name in ("suite-all", "chart-grid", "fourier-n2")}
+    ops["rep-n3"] = wl.Op(["rep-check", "--n", "1"], wl._rep_expect(1))
+    problems = {}
+    for name, op in ops.items():
+        tracer = run.Tracer(run.bindings(modules))
+        with tracer.installed():
+            code = main(list(op.argv))
+        problems[name] = (wl.check_op(op, code, capsys.readouterr().out)
+                          + run.self_test(name, tracer.calls, 1))
     assert not any(problems.values()), problems
