@@ -25,8 +25,8 @@ from .charts import (FieldStructure, PotentialChart, build_XY,
                      chart_from_config, fibre_product, hessian_metric,
                      verify_weak_selfdual)
 from .derham import FourierForm
-from .elliptic import (CurveWithB, EllipticParams, SelfDualTorusData,
-                       build_X, complexified_area, gh_scale_profile,
+from .elliptic import (EllipticParams, SelfDualTorusData, build_X,
+                       complexified_area, gh_scale_profile,
                        recover_mirror_pair, selfdual_full_check)
 from .exterior import GeometryError, Multivector
 from .fiber_transform import full_transform, transform
@@ -39,7 +39,7 @@ __all__ = [
     "jets", "liealg", "polylinear", "report",
     "FieldStructure", "PotentialChart", "build_XY", "chart_from_config",
     "fibre_product", "hessian_metric", "verify_weak_selfdual",
-    "CurveWithB", "EllipticParams", "SelfDualTorusData", "build_X",
+    "EllipticParams", "SelfDualTorusData", "build_X",
     "complexified_area", "gh_scale_profile", "recover_mirror_pair",
     "selfdual_full_check",
     "GeometryError", "Multivector",

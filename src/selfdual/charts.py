@@ -32,7 +32,8 @@ __all__ = [
 ]
 
 COUPLING_TOL = 1e-9  # a flat factor's coupling against its two metrics
-BASE_TOL = 1e-10  # fibre_product: the factors' base metrics and periods
+BASE_TOL = 1e-10  # fibre_product: the factors' base metrics and periods,
+                  # relative to the larger one's size
 
 
 class NotConvexHere(GeometryError):
@@ -194,13 +195,10 @@ class PotentialChart:
 
 
 def _require_definite(H, x):
-    """The convexity rule: H finite and Cholesky-factorable, at any scale."""
-    if not np.all(np.isfinite(H)):  # Cholesky lets NaN through
-        raise NotConvexHere(f"Hessian not finite at {x}")
-    try:
-        np.linalg.cholesky(H)
-    except np.linalg.LinAlgError:
-        raise NotConvexHere(f"Hessian not positive definite at {x}") from None
+    """The convexity rule: the Hessian at x passes the metric rule."""
+    fault = ext.metric_fault(H)
+    if fault is not None:
+        raise NotConvexHere(f"Hessian {fault} at {x}")
 
 
 def hessian_metric(C, x):
@@ -260,19 +258,14 @@ class MetricField:
 
 
 def _const_form_builder(dim, omega):
-    terms = dict(omega.terms if isinstance(omega, Multivector)
-                 else ext.matrix_to_form(np.asarray(omega, dtype=float)).terms)
-
     def build(p, order):
         sp = jet_space(dim, order)
-        return {m: sp.constant(c) for m, c in terms.items()}
+        return {m: sp.constant(c) for m, c in omega.terms.items()}
 
     return build
 
 
 def _const_metric_builder(dim, h):
-    h = np.asarray(h, dtype=float)
-
     def build(p, order):
         sp = jet_space(dim, order)
         return [[sp.constant(h[i, j]) for j in range(dim)] for i in range(dim)]
@@ -312,11 +305,9 @@ class _ChartJets:
         xsp = jet_space(n, order + 3)
         K = self.chart.potential.jet(variables(xsp, x))
         gx = [[K.partial(i).partial(j) for j in range(n)] for i in range(n)]
-        gval = np.array([[gx[i][j].value for j in range(n)] for i in range(n)])
-        try:
-            np.linalg.cholesky(gval)
-        except np.linalg.LinAlgError:
-            raise NotConvexHere(f"Hessian not positive definite at {x}") from None
+        _require_definite(
+            np.array([[gx[i][j].value for j in range(n)] for i in range(n)]),
+            x)
 
         xmap = list(range(n))
         g = [[gx[i][j].embed(full, xmap) for j in range(n)] for i in range(n)]
@@ -345,7 +336,12 @@ class _ChartJets:
 
 
 class FieldStructure:
-    """The three form fields and metric field on a 3n-dimensional chart."""
+    """The three form fields and metric field on a 3n-dimensional chart.
+
+    A constant structure also records the dual form and metric it was
+    built from (`flat_dual`, `flat_metric`; None otherwise) and its
+    periods, the unit torus by default.
+    """
 
     def __init__(self, n, omega1, omega2, omegaD, h, chart=None, periods=None):
         self.n = int(n)
@@ -356,19 +352,27 @@ class FieldStructure:
         self.h = h
         self.chart = chart
         self.periods = None if periods is None else np.asarray(periods, float)
+        self.flat_dual = self.flat_metric = None
         self._jets = None
 
     @classmethod
     def constant(cls, n, O1, O2, OD, h, periods=None):
         d = 3 * n
-        return cls(
-            n,
-            FormField(d, _const_form_builder(d, O1)),
-            FormField(d, _const_form_builder(d, O2)),
-            FormField(d, _const_form_builder(d, OD)),
-            MetricField(d, _const_metric_builder(d, h)),
-            periods=periods,
-        )
+        O1, O2, OD = (om if isinstance(om, Multivector)
+                      else ext.matrix_to_form(np.asarray(om, dtype=float))
+                      for om in (O1, O2, OD))
+        h = np.asarray(h, dtype=float)
+        F = cls(n, *(FormField(d, _const_form_builder(d, om))
+                     for om in (O1, O2, OD)),
+                MetricField(d, _const_metric_builder(d, h)),
+                periods=np.ones(d) if periods is None else periods)
+        F.flat_dual, F.flat_metric = OD, h
+        return F
+
+    def circle_lengths(self):
+        """Length of the coordinate circle along each axis of a constant
+        structure: sqrt(h_aa) P_a."""
+        return np.sqrt(np.diag(self.flat_metric)) * self.periods
 
     def field(self, name):
         table = {"omega1": self.omega1, "omega2": self.omega2,
@@ -618,12 +622,13 @@ def fibre_product(n, factor1, factor2):
     """
     if factor1.n != n or factor2.n != n:
         raise ValueError("factor base dimension mismatch")
-    diff = np.max(np.abs(factor1.base_metric - factor2.base_metric))
-    if diff > BASE_TOL:
-        raise GeometryError(f"base metrics differ by {diff:.3e} "
-                            f"(tolerance {BASE_TOL:.1e})")
-    if np.max(np.abs(factor1.base_periods - factor2.base_periods)) > BASE_TOL:
-        raise GeometryError("base periods differ")
+    for what, a, b in (
+            ("metrics", factor1.base_metric, factor2.base_metric),
+            ("periods", factor1.base_periods, factor2.base_periods)):
+        diff = np.max(np.abs(a - b))
+        if diff > BASE_TOL * max(np.max(np.abs(a)), np.max(np.abs(b))):
+            raise GeometryError(f"base {what} differ by {diff:.3e} "
+                                f"(relative tolerance {BASE_TOL:.1e})")
     gB = factor1.base_metric
     d = 3 * n
     O1 = np.zeros((d, d))

@@ -320,6 +320,24 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+# a modulus value may start with a minus sign ('-0.3+0.7i'), which argparse
+# would read as an option
+MODULUS_FLAGS = {flag for command in COMMANDS.values()
+                 for flag, spec in command.flags.items()
+                 if spec.type is modulus}
+
+
+def _attach_moduli(argv):
+    """Join each modulus flag with the token after it, as --flag=value."""
+    out = []
+    for token in argv:
+        if out and out[-1] in MODULUS_FLAGS:
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def build_parser():
     parser = _Parser(prog="selfdual", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -335,7 +353,8 @@ def build_parser():
 
 def main(argv=None):
     try:
-        flags = vars(build_parser().parse_args(argv))
+        flags = vars(build_parser().parse_args(
+            _attach_moduli(sys.argv[1:] if argv is None else argv)))
         out, timing = flags.pop("out"), flags.pop("timing")
         start = time.perf_counter()
         report = COMMANDS[flags.pop("command")].suite(**flags)

@@ -119,10 +119,6 @@ class FourierForm:
         return sorted({m.bit_count() for masks in self.terms.values()
                        for m in masks})
 
-    def max_frequency(self):
-        """Largest |k_i| over the stored modes."""
-        return max((max(map(abs, k)) for k in self.terms), default=0)
-
     def _check_carrier(self, other):
         if self.dim != other.dim or self.periods != other.periods:
             raise ValueError("carrier mismatch")
@@ -189,18 +185,6 @@ def _wavenumbers(F):
     """2 pi / P_j per axis: the derivative of mode k along j is this
     times k_j (exactly 2 pi k_j on the unit torus)."""
     return [TWO_PI / p for p in F.periods]
-
-
-def partial(F, j):
-    """Coordinate derivative along axis j, mode by mode."""
-    scale = _wavenumbers(F)[j]
-    table = {}
-    for k, masks in F.terms.items():
-        if k[j]:
-            factor = scale * k[j]
-            table[k] = {m: (factor * b, -factor * a)
-                        for m, (a, b) in masks.items()}
-    return FourierForm(F.dim, table, F.periods)
 
 
 def _first_order(F, axis_op, sign):

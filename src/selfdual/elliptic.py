@@ -2,9 +2,9 @@
 
 A pair of upper-half-plane parameters (tau, t) fixes two flat tori glued
 along a common base circle. The glued total space carries a constant
-two-pairing structure whose invariants (base length, fibre lengths,
-monodromy angles) determine the parameter pair again up to the integer
-part of the real coordinates.
+two-pairing structure whose invariants (base length and fibre lengths,
+read off its metric and periods, and the monodromy angles) determine the
+parameter pair again up to the integer part of the real coordinates.
 
 Axis order on the total space: x (base), y1 (first fibre), y2 (second
 fibre), with periods (Im tau, 1, 1). The real parts tau_1 and t_1 enter
@@ -65,25 +65,14 @@ class EllipticParams:
     def t2(self):
         return self.t.imag
 
-    def swapped(self):
-        return EllipticParams(self.t, self.tau)
-
-
-@dataclass(frozen=True)
-class CurveWithB:
-    """Flat curve of modulus tau carrying the closed complex 2-form
-    with coefficient -t/(2 Im tau), plus the metric scale Im t/Im tau."""
-
-    tau: complex
-    t: complex
-
-    def __post_init__(self):
-        object.__setattr__(self, "tau", _check_upper(self.tau, "tau"))
-        object.__setattr__(self, "t", _check_upper(self.t, "t"))
-
     @property
     def kahler_coefficient(self):
+        """Coefficient -t/(2 Im tau) of the closed complex 2-form on the
+        flat curve of modulus tau."""
         return -self.t / (2.0 * self.tau.imag)
+
+    def swapped(self):
+        return EllipticParams(self.t, self.tau)
 
 
 @dataclass
@@ -121,19 +110,14 @@ def build_X(p):
 
     Returns (SelfDualTorusData, FieldStructure). The metric is
     diag(s, s, 1/s) with s = Im t/Im tau; the two pairings couple the
-    base axis to each fibre axis with coefficients s and 1. The
-    monodromy angles are the real-part shears of the gluing,
-    theta_1 = Re t and theta_2 = Re tau, in [0, 1).
+    base axis to each fibre axis with coefficients s and 1. The lengths
+    are read off the structure (`FieldStructure.circle_lengths`): ell_1
+    is the y2 circle, the fibre of the quotient onto the (x, y1) torus,
+    and ell_2 the y1 circle. The monodromy
+    angles are the real-part shears of the gluing, theta_1 = Re t and
+    theta_2 = Re tau, in [0, 1).
     """
     s = p.t2 / p.tau2
-    data = SelfDualTorusData(
-        base_length=float(np.sqrt(p.t2 * p.tau2)),
-        ell_1=float(np.sqrt(p.tau2 / p.t2)),
-        ell_2=float(np.sqrt(p.t2 / p.tau2)),
-        # a tiny negative x % 1.0 rounds to 1.0, which % 1.0 maps to 0.0
-        theta_1=p.t1 % 1.0 % 1.0,
-        theta_2=p.tau1 % 1.0 % 1.0,
-    )
     O1 = np.zeros((3, 3))
     O1[0, 1], O1[1, 0] = s, -s
     O2 = np.zeros((3, 3))
@@ -143,26 +127,34 @@ def build_X(p):
     h = np.diag([s, s, 1.0 / s])
     F = ch.FieldStructure.constant(1, O1, O2, OD, h,
                                    periods=[p.tau2, 1.0, 1.0])
+    base, y1, y2 = F.circle_lengths()
+    data = SelfDualTorusData(
+        base_length=float(base), ell_1=float(y2), ell_2=float(y1),
+        # a tiny negative x % 1.0 rounds to 1.0, which % 1.0 maps to 0.0
+        theta_1=p.t1 % 1.0 % 1.0,
+        theta_2=p.tau1 % 1.0 % 1.0,
+    )
     return data, F
 
 
 def recover_mirror_pair(d):
     """Invert the invariants back to the parameter pair and its swap.
 
-    Returns (CurveWithB, CurveWithB): the curve of modulus tau carrying
-    the form built from t, then the same with the roles exchanged.
-    Real parts come back as their representatives in [0, 1).
+    Returns (EllipticParams, EllipticParams): the pair (tau, t), then the
+    same with the roles exchanged. Real parts come back as their
+    representatives in [0, 1).
     """
     d.validate()
     tau2 = d.base_length * d.ell_1
     t2 = d.base_length * d.ell_2
-    tau = complex(d.theta_2 % 1.0 % 1.0, tau2)
-    t = complex(d.theta_1 % 1.0 % 1.0, t2)
-    return CurveWithB(tau, t), CurveWithB(t, tau)
+    first = EllipticParams(complex(d.theta_2 % 1.0 % 1.0, tau2),
+                           complex(d.theta_1 % 1.0 % 1.0, t2))
+    return first, first.swapped()
 
 
 def complexified_area(c):
-    """Integral of the complex 2-form over the curve, i*t.
+    """Integral of the complex 2-form of c (EllipticParams) over the
+    curve of modulus c.tau, i*t.
 
     Pulls the form back along z = a + b*tau over the unit square in
     (a, b); dz wedge dzbar = -2i Im(tau) da wedge db, so the integrand
@@ -201,19 +193,6 @@ def gh_scale_profile(p, rs):
     return rows
 
 
-def _fibre_lengths(F, point):
-    """Lengths of the two fibre circles read off the metric field."""
-    n = F.n
-    h = F.h.at(point)
-    out = []
-    for j in (1, 2):
-        block = h[j * n:(j + 1) * n, j * n:(j + 1) * n]
-        vol = float(np.sqrt(np.linalg.det(block)))
-        vol *= float(np.prod(F.periods[j * n:(j + 1) * n]))
-        out.append(vol)
-    return out
-
-
 def selfdual_full_check(p):
     """Run the closure, parallelism, unit-volume and rotation checks.
 
@@ -222,12 +201,11 @@ def selfdual_full_check(p):
     `full-rotations_selfdual`. A rotation that leaves the compatible
     structures gives an infinite residual.
     """
-    _, F = build_X(p)
+    data, F = build_X(p)
     point = np.array([0.1, 0.2, 0.3])
     d_res = rp.worst(ch.exterior_derivative(F.field(name), point).norm()
                      for name in ("omega1", "omega2", "omegaD"))
     cov = rp.worst(ch.covariant_constancy(F, point))
-    l1, l2 = _fibre_lengths(F, point)
 
     P = F.structure_at(point)
     try:
@@ -242,7 +220,7 @@ def selfdual_full_check(p):
         rp.check("full-covariant_constancy", "covariant constancy", cov,
                  1e-10),
         rp.check("full-unit_fibre_volume", "unit fibre volume",
-                 abs(l1 * l2 - 1.0), 1e-10),
+                 abs(data.ell_1 * data.ell_2 - 1.0), 1e-10),
         rp.check("full-rotations_selfdual", "rotations selfdual", rot_res,
                  1e-8),
     ]

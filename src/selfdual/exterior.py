@@ -219,16 +219,37 @@ def contract(v, a):
     return Multivector(a.dim, out)
 
 
+def metric_fault(g):
+    """Why g is not a metric, or None: the one rule for every metric.
+
+    A metric is a square matrix, finite (Cholesky lets NaN through and
+    factors inf), symmetric to 1e-12 of its largest entry, and Cholesky-
+    factorable. Each test is scale-free, so c*g passes exactly when g does.
+    """
+    g = np.asarray(g, dtype=float)
+    if g.ndim != 2 or g.shape[0] != g.shape[1]:
+        return "not square"
+    if not np.all(np.isfinite(g)):
+        return "not finite"
+    size = np.max(np.abs(g), initial=0.0)
+    if np.max(np.abs(g - g.T), initial=0.0) > 1e-12 * size:
+        return "not symmetric"
+    try:
+        np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        return "not positive definite"
+    return None
+
+
 def _check_metric(g, dim):
     g = np.asarray(g, dtype=float)
     if g.shape != (dim, dim):
         raise ValueError("metric shape %s does not match dimension %d" % (g.shape, dim))
-    if not np.allclose(g, g.T, atol=1e-12 * np.max(np.abs(g))):
-        raise ValueError("metric not symmetric")
-    try:
-        np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite("metric not positive definite")
+    fault = metric_fault(g)
+    if fault == "not positive definite":
+        raise NotPositiveDefinite("metric " + fault)
+    if fault is not None:
+        raise ValueError("metric " + fault)
     return g
 
 

@@ -17,21 +17,8 @@ The overall sign of the transform is whatever these choices produce;
 tests pin the resulting values.
 """
 
-import numpy as np
-
 from . import derham
 from .derham import FourierForm
-
-
-def _flat_data(X):
-    """Dual form and metric of a flat structure; errors if coefficients move."""
-    p0 = np.zeros(X.dim)
-    p1 = np.array([0.11, 0.23, 0.37])
-    OD0, OD1 = X.omegaD.at(p0), X.omegaD.at(p1)
-    h0, h1 = X.h.at(p0), X.h.at(p1)
-    if OD0.terms != OD1.terms or np.any(h0 != h1):
-        raise ValueError("transform requires constant-coefficient structures")
-    return OD0, h0
 
 
 def _dual_power(OD, j, periods):
@@ -47,18 +34,17 @@ def _graded_transform(alpha, j, X, fibre_axis, kept_axis, samples):
         raise NotImplementedError("implemented for circle fibres only")
     if j < 0 or int(j) != j:
         raise ValueError("j must be a nonnegative integer")
-    OD, h = _flat_data(X)
-    base_periods = X.periods if X.periods is not None else np.ones(3)
+    if X.flat_dual is None:
+        raise ValueError("transform requires constant-coefficient structures")
     if alpha.dim != 2:
         raise ValueError("input must live on a two-torus quotient")
-    if alpha.periods != (base_periods[0], base_periods[fibre_axis]):
+    if alpha.periods != (X.periods[0], X.periods[fibre_axis]):
         raise ValueError("input periods do not match the structure")
 
-    up = derham.pull_back(alpha, kept_axis, base_periods[kept_axis])
-    psi = derham.wedge(_dual_power(OD, j, up.periods), up)
-    length = float(np.sqrt(h[fibre_axis, fibre_axis])
-                   * base_periods[fibre_axis])
-    out = derham.fibre_integrate(psi, fibre_axis, length, samples)
+    up = derham.pull_back(alpha, kept_axis, X.periods[kept_axis])
+    psi = derham.wedge(_dual_power(X.flat_dual, j, up.periods), up)
+    out = derham.fibre_integrate(psi, fibre_axis,
+                                 float(X.circle_lengths()[fibre_axis]), samples)
 
     # degree bookkeeping: deg out = deg in + 2j - 1 per graded piece
     flags = []

@@ -174,6 +174,16 @@ class StandardBasis:
             for j, A in enumerate(P.matrices))
 
 
+def _dual(P, j, v):
+    """F_j (v^T A_j F_j)^-1: the basis w of kernel block j (0-based) with
+    v^T A_j w = I."""
+    F = P.kernel_blocks()[j]
+    M = v.T @ P.matrices[j] @ F
+    if _rank(M) < P.n:
+        raise Degenerate(f"kernel block {j + 1} pairs degenerately")
+    return F @ np.linalg.inv(M)
+
+
 def _darboux_basis(A):
     # classical pairing construction for a single nondegenerate form
     d = A.shape[0]
@@ -219,27 +229,14 @@ def standard_basis(P):
     W0 = _orthocomplement(g, np.hstack(Fj))
 
     scale = max(np.max(np.abs(A)) for A in P.matrices)
-    us = []
-    for j in range(s):
-        A = P.matrices[j]
+    for j, A in enumerate(P.matrices):
         if np.max(np.abs(Fj[j].T @ A @ Fj[j])) > 1e-8 * scale:
             raise Degenerate(f"kernel block {j + 1} is not isotropic for its form")
-        N = Fj[j].T @ A @ W0
-        if _rank(N) < n:
-            raise Degenerate("kernel block pairs degenerately with the complement")
-        us.append(Fj[j] @ np.linalg.inv(N).T)
-
-    v = W0.copy()
-    for j in range(s):
-        Bj = W0.T @ P.matrices[j] @ W0
-        v = v + us[j] @ (-0.5 * Bj).T
-
-    ws = []
-    for j in range(s):
-        Mj = v.T @ P.matrices[j] @ us[j]
-        if _rank(Mj) < n:
-            raise Degenerate("dual solve is singular")
-        ws.append(us[j] @ np.linalg.inv(Mj))
+    # v is isotropic for every form: F_k lies in ker A_j for k != j, and
+    # F_j is A_j-isotropic
+    v = W0 + 0.5 * sum(_dual(P, j, W0) @ (W0.T @ A @ W0).T
+                       for j, A in enumerate(P.matrices))
+    ws = [_dual(P, j, v) for j in range(s)]
 
     # v / r and w^j r keep v^T A_j w^j = I and have equal sizes, so every
     # block of B^T A_j B is of unit size and the residual needs no scale
@@ -288,17 +285,12 @@ def is_compatible(P):
     L = np.linalg.cholesky(gram)
     v = Wg @ np.linalg.inv(L).T
 
-    blocks = [v]
-    for j in range(s):
-        blocks.append(-np.linalg.solve(g, P.matrices[j] @ v))
-    B = np.hstack(blocks)
-
-    res = rp.worst([np.max(np.abs(B.T @ g @ B - np.eye(d)))] + [
-        np.max(np.abs(B.T @ A @ B - _canonical_matrix(n, s, j + 1)))
-        for j, A in enumerate(P.matrices)])
+    B = np.hstack([v] + [-np.linalg.solve(g, A @ v) for A in P.matrices])
+    basis = StandardBasis(n, s, B, orthonormal=True)
+    res = rp.worst([np.max(np.abs(B.T @ g @ B - np.eye(d))),
+                    basis.normal_form_residual(P)])
     ok = res < COMPAT_TOL
-    basis = StandardBasis(n, s, B, orthonormal=True) if ok else None
-    return CompatibilityResult(ok, basis, res)
+    return CompatibilityResult(ok, basis if ok else None, res)
 
 
 def dualizing_form_from_basis(sb):
@@ -447,10 +439,7 @@ def metric_from_data(g1, W, P):
         if np.max(np.abs(e0.T @ A @ e0)) > 1e-8 * fscale:
             raise GeometryError("complement is not isotropic for the forms")
 
-    N = e0.T @ P.matrices[0] @ Fj[0]
-    if _rank(N) < n:
-        raise Degenerate("first kernel block pairs degenerately")
-    f10 = Fj[0] @ np.linalg.inv(N)
+    f10 = _dual(P, 0, e0)
     G0 = f10.T @ g1 @ f10
     G0 = 0.5 * (G0 + G0.T)
     try:
@@ -459,14 +448,7 @@ def metric_from_data(g1, W, P):
         raise NotPositiveDefinite(
             "datum is not positive definite on the first kernel block") from None
     e = e0 @ L
-    f1 = f10 @ np.linalg.inv(L).T
-    blocks = [e, f1]
-    for j in range(1, s):
-        Nj = e.T @ P.matrices[j] @ Fj[j]
-        if _rank(Nj) < n:
-            raise Degenerate("kernel block pairs degenerately")
-        blocks.append(Fj[j] @ np.linalg.inv(Nj))
-    B = np.hstack(blocks)
+    B = np.hstack([e] + [_dual(P, j, e) for j in range(s)])
     Binv = np.linalg.inv(B)
     g = Binv.T @ Binv
     return 0.5 * (g + g.T)

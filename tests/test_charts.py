@@ -6,6 +6,8 @@ composite matrix formula (through the inverse metric) for the dual-field
 correction term.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -331,6 +333,38 @@ def test_fibre_product_base_mismatch_rejected():
     f2 = FlatKahlerFactor([[2.0]], [[1.0]], [[np.sqrt(2.0)]])
     with pytest.raises(GeometryError):
         fibre_product(1, f1, f2)
+
+
+@pytest.mark.parametrize("c", [1e-12, 1.0, 1e7])
+def test_fibre_product_compares_bases_relative_to_their_size(c):
+    def factor(base, fibre, coupling, period=c):
+        return FlatKahlerFactor([[base]], [[fibre]], [[coupling]],
+                                base_periods=[period])
+
+    f1, f2 = factor(c, c, c), factor(c, 1.0 / c, 1.0)
+    F = fibre_product(1, f1, f2)
+    assert pl.is_compatible(F.structure_at([0.2, 0.3, 0.4])).compatible
+    # the next float is the same base, metric or period
+    up = math.nextafter(c, math.inf)
+    fibre_product(1, factor(up, up, up), f2)
+    fibre_product(1, f1, factor(c, 1.0 / c, 1.0, period=up))
+    # twice the base is another base
+    with pytest.raises(GeometryError, match="base metrics differ"):
+        fibre_product(1, f1, factor(2 * c, 1.0 / c, np.sqrt(2.0)))
+    with pytest.raises(GeometryError, match="base periods differ"):
+        fibre_product(1, f1, factor(c, 1.0 / c, 1.0, period=2 * c))
+
+
+def test_constant_structure_records_its_data():
+    O = np.zeros((3, 3))
+    OD = Multivector.basis(3, [1, 2])
+    h = np.diag([1.0, 2.0, 0.5])
+    F = FieldStructure.constant(1, O, O, OD, h)
+    assert F.flat_dual is OD
+    np.testing.assert_array_equal(F.flat_metric, h)
+    np.testing.assert_array_equal(F.periods, np.ones(3))
+    chart = build_XY(quadratic_chart(1))
+    assert chart.flat_dual is None and chart.flat_metric is None
 
 
 def test_factor_validity_check():

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from selfdual import charts as ch
 from selfdual import derham
 from selfdual.cli import COMMANDS, ConfigError, Int, build_parser, main, \
     parse_complex
@@ -308,12 +309,13 @@ def test_chart_overflowing_on_its_grid_is_a_failed_report(capsys, tmp_path):
     code = main(["affine-check", "--chart", str(path)])
     rep = json.loads(capsys.readouterr().out)
     assert code == 1
-    records = {c["id"]: c for c in rep["checks"]}
-    assert records["fibre-volume-product"]["verdict"] == "FAIL"
-    assert "Hessian not finite" in records["fibre-volume-product"]["anchor"]
-    # the overflowed forms carry NaN, which must not read as zero
-    assert records["dual-form-closed"]["residual"] == "nan"
-    assert records["dual-form-closed"]["verdict"] == "FAIL"
+    # every record, the closure of the two pairings included, meets the
+    # overflowed point and names it
+    assert len(rep["checks"]) == 5
+    for c in rep["checks"]:
+        assert c["residual"] == "inf"
+        assert c["verdict"] == "FAIL"
+        assert "Hessian not finite at [5.e+299]" in c["anchor"]
 
 
 def test_chart_overflowing_at_a_validation_point_exits_two(capsys, tmp_path):
@@ -356,6 +358,38 @@ def test_moduli_far_apart_pass(capsys, argv):
     code, rep = run_json(capsys, argv)
     assert code == 0
     assert all(c["verdict"] == "PASS" for c in rep["checks"])
+
+
+@pytest.mark.parametrize("spaced,joined", [
+    (["mirror", "--tau", "-0.3+0.7i", "--t", "0+1i"],
+     ["mirror", "--tau=-0.3+0.7i", "--t=0+1i"]),
+    (["fm", "--tau", "0+1i", "--t", "-1+1i"],
+     ["fm", "--tau=0+1i", "--t=-1+1i"]),
+])
+def test_modulus_after_a_space_may_start_with_a_minus_sign(capsys, spaced,
+                                                           joined):
+    assert main(spaced) == 0
+    out = capsys.readouterr().out
+    assert main(joined) == 0
+    assert capsys.readouterr().out == out
+
+
+def test_mirror_round_trip_fails_on_a_structure_built_from_a_wrong_im_t(
+        capsys, monkeypatch):
+    # F built from 1.01 Im t, in its coupling and its metric, while the
+    # angles and the round trip's reference keep the true t
+    constant = ch.FieldStructure.constant
+
+    def faulty(n, O1, O2, OD, h, periods=None):
+        return constant(n, 1.01 * O1, O2, OD,
+                        h @ np.diag([1.01, 1.01, 1 / 1.01]), periods=periods)
+
+    monkeypatch.setattr(ch.FieldStructure, "constant", faulty)
+    code, rep = run_json(capsys, ["mirror", "--tau=0.3+1.7i", "--t=-0.4+0.9i"])
+    assert code == 1
+    records = {c["id"]: c for c in rep["checks"]}
+    assert records["mirror-round-trip"]["verdict"] == "FAIL"
+    assert records["mirror-round-trip"]["residual"] == pytest.approx(9e-3)
 
 
 def test_mirror_angle_just_below_zero_wraps(capsys):

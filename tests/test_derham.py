@@ -11,7 +11,7 @@ import pytest
 from selfdual import liealg
 from selfdual.derham import (
     FourierForm, apply_operator, codifferential, d, dc, fibre_integrate,
-    harmonic_action, laplacian, laplacian_direct, partial, verify_skaid,
+    harmonic_action, laplacian, laplacian_direct, verify_skaid,
 )
 from selfdual.exterior import Multivector, inner
 
@@ -19,7 +19,6 @@ from selfdual.exterior import Multivector, inner
 def test_constructor_canonicalizes_and_validates():
     F = FourierForm(3, {(-1, 0, 2): {0: (3.0, 4.0)}})
     assert F.terms == {(1, 0, -2): {0: (3.0, -4.0)}}
-    assert F.max_frequency() == 2
     with pytest.raises(ValueError):
         FourierForm(3, {(0, 0): {0: (1.0, 0.0)}})
     with pytest.raises(ValueError):
@@ -95,14 +94,6 @@ def test_d_against_finite_differences():
                 deriv = fine + (1.0 / 3.0) * (fine - coarse)
                 want = want + (Multivector.basis(3, [j]) ^ deriv)
             assert (G.evaluate(p) - want).norm() < 1e-8
-
-
-def test_partial_alone_matches_mode_rule():
-    F = FourierForm(2, {(2, 1): {0b01: (0.5, -0.25)}})
-    P = partial(F, 0)
-    a, b = P.terms[(2, 1)][0b01]
-    assert abs(a - 4.0 * np.pi * (-0.25)) < 1e-15
-    assert abs(b + 4.0 * np.pi * 0.5) < 1e-15
 
 
 def test_codifferential_is_adjoint_of_d():

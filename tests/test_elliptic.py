@@ -15,7 +15,7 @@ from scipy.integrate import dblquad
 from selfdual import charts as ch
 from selfdual import polylinear as pl
 from selfdual.elliptic import (
-    CurveWithB, EllipticParams, NotSelfDual, SelfDualTorusData, build_X,
+    EllipticParams, NotSelfDual, SelfDualTorusData, build_X,
     circle_distance, complexified_area, gh_scale_profile, recover_mirror_pair,
     selfdual_full_check,
 )
@@ -130,14 +130,14 @@ def test_recover_rejects_non_selfdual():
 
 
 def test_complexified_area_closed_form():
-    assert abs(complexified_area(CurveWithB(1j, 1j)) - (-1.0)) < 1e-12
-    assert abs(complexified_area(CurveWithB(2j, 3j)) - (-3.0)) < 1e-12
-    c = CurveWithB(0.3 + 1.7j, -0.2 + 0.9j)
+    assert abs(complexified_area(EllipticParams(1j, 1j)) - (-1.0)) < 1e-12
+    assert abs(complexified_area(EllipticParams(2j, 3j)) - (-3.0)) < 1e-12
+    c = EllipticParams(0.3 + 1.7j, -0.2 + 0.9j)
     assert abs(complexified_area(c) - 1j * c.t) < 1e-9
 
 
 def test_complexified_area_scipy_oracle():
-    c = CurveWithB(0.5 + 2.0j, 1.0 + 0.5j)
+    c = EllipticParams(0.5 + 2.0j, 1.0 + 0.5j)
     coeff = c.kahler_coefficient
     jac = -2j * c.tau.imag
     re, _ = dblquad(lambda a, b: (coeff * jac).real, 0, 1, 0, 1)

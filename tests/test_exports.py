@@ -1,0 +1,22 @@
+"""Every name a module exports through __all__ resolves, so a deletion
+cannot leave a stale export behind."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import selfdual
+
+MODULES = [selfdual] + [importlib.import_module(f"selfdual.{info.name}")
+                        for info in pkgutil.iter_modules(selfdual.__path__)]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_every_exported_name_resolves(module):
+    names = getattr(module, "__all__", [])
+    assert [name for name in names if not hasattr(module, name)] == []
+
+
+def test_exports_are_checked():
+    assert sum(hasattr(m, "__all__") for m in MODULES) >= 2

@@ -200,6 +200,30 @@ def test_inner_rejects_asymmetric_metric_at_any_scale(c):
     assert inner(a, a, g) == pytest.approx(c, rel=1e-12)
 
 
+# the one metric rule: square, finite, symmetric to 1e-12 of the largest
+# entry, Cholesky-factorable
+@pytest.mark.parametrize("g,fault", [
+    ([[np.inf, 0.0], [0.0, 1.0]], "not finite"),
+    ([[np.nan, 0.0], [0.0, 1.0]], "not finite"),
+    ([[1.0, 0.5], [0.5 + 1e-6, 1.0]], "not symmetric"),
+    ([[1.0, 0.0], [0.0, -1.0]], "not positive definite"),
+    ([[1.0, 0.0]], "not square"),
+    (1e-300 * np.eye(3), None),
+    (np.eye(3), None),
+    (1e300 * np.eye(3), None),
+])
+def test_metric_rule(g, fault):
+    assert ext.metric_fault(g) == fault
+    if fault is None:
+        a = Multivector.basis(len(g), [0])
+        assert inner(a, a, g) == pytest.approx(g[0][0], rel=1e-12)
+    elif fault != "not square":
+        a = Multivector.basis(2, [0])
+        with pytest.raises((ValueError, ext.NotPositiveDefinite),
+                           match=fault):
+            inner(a, a, g)
+
+
 def test_inner_orthogonal_invariance():
     rng = np.random.default_rng(6)
     for _ in range(100):
