@@ -9,10 +9,16 @@ in its orthonormal standard frame.
 
 Each operator is composed on basis bitmasks from the one-axis wedge and
 contraction maps of `exterior`, which own the sign rule; the result is a
-dense matrix.
+dense matrix. Each is a sum of products of fermionic creation and
+annihilation operators, so it is very sparse (at n = 3, 384 nonzeros
+among 512 x 512 entries). Operators stay dense wherever they are passed
+around, but above DENSE_MAX basis masks `commutator` and `closure_basis`
+take their products through the nonzero entries, and a bracket comes
+back as a CSR array.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import exterior as ext
 from . import report as rp
@@ -20,6 +26,11 @@ from . import report as rp
 CARTAN_A3 = np.array([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
 CLOSURE_TOL = 1e-9
 CLOSURE_ROUNDS = 50
+# Largest operator side bracketed as dense products. Measured per
+# commutator of two dense L (2-core host, one BLAS thread), converting
+# included: 35 us dense and 0.31 ms as CSR at 64 x 64, 17 ms dense and
+# 0.89 ms as CSR at 512 x 512.
+DENSE_MAX = 64
 
 
 def bar(alpha, s=2):
@@ -55,7 +66,27 @@ def L(n, alpha, beta, s=2):
     return M
 
 
+def _sparse_if_large(M):
+    """M as a CSR array over its nonzero entries (NaN and inf among them)
+    when its side exceeds DENSE_MAX; smaller or already-sparse M as it is.
+
+    Built from the flat nonzero positions: 0.24 ms on a dense 512 x 512
+    L, against 2.3 ms for `scipy.sparse.csr_array(M)`.
+    """
+    if M.shape[0] <= DENSE_MAX or sp.issparse(M):
+        return M
+    flat = M.ravel()
+    at = np.flatnonzero(flat != 0)
+    rows, cols = np.divmod(at, M.shape[1])
+    indptr = np.searchsorted(rows, np.arange(M.shape[0] + 1))
+    return sp.csr_array((flat[at], cols, indptr), shape=M.shape)
+
+
 def commutator(A, B):
+    """[A, B]; a CSR array when the side exceeds DENSE_MAX. Products skip
+    zero entries there, so an inf entry meets no 0 and stays inf where
+    a dense product reads NaN."""
+    A, B = _sparse_if_large(A), _sparse_if_large(B)
     return A @ B - B @ A
 
 
@@ -88,21 +119,25 @@ def trace_form(mats):
 
 
 def closure_basis(gens):
-    """Matrices spanning the Lie closure (Frobenius-normalized)."""
+    """Matrices spanning the Lie closure (Frobenius-normalized, dense).
+
+    The orthonormal basis behind the span test is kept in the brackets'
+    own form, CSR above DENSE_MAX, with Frobenius products `(v * b).sum()`.
+    """
     basis = []
     mats = []
 
     def add(M):
-        v = M.ravel().astype(float)
-        scale = np.linalg.norm(v)
+        v = _sparse_if_large(M)
+        scale = np.sqrt((v * v).sum())
         if scale <= CLOSURE_TOL:
             return False
         for b in basis:
-            v = v - (v @ b) * b
-        nv = np.linalg.norm(v)
+            v = v - (v * b).sum() * b
+        nv = np.sqrt((v * v).sum())
         if nv > CLOSURE_TOL * scale:
             basis.append(v / nv)
-            mats.append(M / scale)
+            mats.append((M.toarray() if sp.issparse(M) else M) / scale)
             return True
         return False
 
@@ -161,26 +196,26 @@ def verify_commutations(n, s=2, tol=1e-12):
 
     def residual_1(t):
         a, b = t
-        return np.max(np.abs(Ls[a, b] + Ls[b, a]))
+        return abs(Ls[a, b] + Ls[b, a]).max()
 
     def residual_2(t):
         a, b = t
         got = commutator(Ls[a, b], Ls[bar(b, s), bar(a, s)])
         want = Ls[b, bar(b, s)] - Ls[bar(a, s), a]
-        return np.max(np.abs(got - want))
+        return abs(got - want).max()
 
     def residual_3(t):
         a, c, b = t
         got = commutator(Ls[a, c], Ls[bar(c, s), b])
-        return np.max(np.abs(got - Ls[a, b]))
+        return abs(got - Ls[a, b]).max()
 
     def residual_4(t):
         a, b, c, dd = t
-        return np.max(np.abs(commutator(Ls[a, b], Ls[c, dd])))
+        return abs(commutator(Ls[a, b], Ls[c, dd])).max()
 
     def residual_5(t):
         a, c, b = t
-        return np.max(np.abs(commutator(Ls[a, c], Ls[c, b])))
+        return abs(commutator(Ls[a, c], Ls[c, b])).max()
 
     funcs = {1: residual_1, 2: residual_2, 3: residual_3, 4: residual_4,
              5: residual_5}
@@ -204,7 +239,7 @@ def verify_chevalley(n, tol=1e-12):
         check_id = relation.split()[0].strip("[]").replace(",", "-")
         checks.append(rp.check(
             f"chevalley-{check_id}", relation,
-            rp.worst(np.max(np.abs(residual_fn(i, j))) for (i, j) in pairs),
+            rp.worst(abs(residual_fn(i, j)).max() for (i, j) in pairs),
             tol))
 
     allp = [(i, j) for i in range(3) for j in range(3)]
@@ -231,5 +266,5 @@ def verify_chevalley(n, tol=1e-12):
     row("ad(f_i)^2 f_j = 0 (a_ij = -1)", adjp,
         lambda i, j: commutator(f[i], commutator(f[i], f[j])))
     row("traceless generators", [(i, i) for i in range(len(gens))],
-        lambda i, j: np.trace(gens[i]))
+        lambda i, j: gens[i].trace())
     return checks

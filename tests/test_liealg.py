@@ -2,15 +2,20 @@
 
 Oracles: the general exterior product/contraction routines applied to
 random multivectors (a separate code path from the one-axis bitmask maps
-that build the matrices), the canonical anticommutation table, and
-brute-force closure for the generated dimension.
+that build the matrices), the canonical anticommutation table,
+brute-force closure for the generated dimension, and dense products for
+the brackets taken through nonzero entries above DENSE_MAX.
 """
+
+import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from selfdual import exterior as ext
 from selfdual import liealg
+from selfdual.cli import main
 from selfdual.exterior import Multivector
 from selfdual.liealg import (
     CARTAN_A3, L, bar, chevalley_basis, closure_basis, commutator,
@@ -221,3 +226,82 @@ def test_closure_can_fail_to_converge(monkeypatch):
     monkeypatch.setattr(liealg, "CLOSURE_ROUNDS", 0)
     with pytest.raises(RuntimeError, match="in 0 rounds"):
         closure_basis([L(1, 0, 1), L(1, bar(1), bar(0))])
+
+
+# ---------------------------------------------------------------------------
+# brackets through nonzero entries above DENSE_MAX
+
+
+def test_sparse_brackets_match_dense_products():
+    n = 3
+    assert 1 << (3 * n) > liealg.DENSE_MAX
+    rng = np.random.default_rng(13)
+    labels = [(a, b) for a in range(6) for b in range(6)]
+    picks = rng.choice(len(labels), size=(12, 2))
+    pairs = [(L(n, *labels[i]), L(n, *labels[j])) for i, j in picks]
+    # a zero bracket, and a dense operand against a CSR one as the
+    # ad(e_i)^2 rows pass them
+    pairs.append((L(n, 0, 1), L(n, 0, 1)))
+    e = chevalley_basis(n)["e"]
+    pairs.append((e[0], commutator(e[0], e[1])))
+    for A, B in pairs:
+        got = commutator(A, B)
+        assert sp.issparse(got)
+        A, B = (M.toarray() if sp.issparse(M) else M for M in (A, B))
+        np.testing.assert_array_equal(got.toarray(), A @ B - B @ A)
+
+
+def test_sparse_closure_matches_dense(monkeypatch):
+    n = 2
+    gens = []
+    for (a, b) in ((0, 1), (0, 2), (1, 2)):
+        M = L(n, a, b)
+        gens.extend([M, M.T])
+    want = closure_basis(gens)
+    monkeypatch.setattr(liealg, "DENSE_MAX", 1)
+    got = closure_basis(gens)
+    assert len(got) == len(want) == 15
+    # each entry is a sum of at most k products per bracket; allow a few
+    # roundings of each on the Frobenius-normalized matrices
+    k = max(int((M != 0).sum(axis=1).max()) for M in want)
+    tol = 4 * k * np.finfo(float).eps
+    for G, W in zip(got, want):
+        assert isinstance(G, np.ndarray)
+        assert np.abs(G - W).max() <= tol
+
+
+def plant(monkeypatch, fault):
+    """Route every L(0, bar 1) (the generator e_0) through `fault`."""
+    clean = liealg.L
+
+    def planted(n, alpha, beta, s=2):
+        M = clean(n, alpha, beta, s)
+        return fault(M) if (alpha, beta, s) == (0, bar(1), 2) else M
+
+    monkeypatch.setattr(liealg, "L", planted)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_planted_scale_fails_exactly_its_records(n, monkeypatch, capsys):
+    plant(monkeypatch, lambda M: M * (1 + 1e-6))
+    code = main(["rep-check", "--n", str(n)])
+    report = json.loads(capsys.readouterr().out)
+    failed = [c["id"] for c in report["checks"] if c["verdict"] == "FAIL"]
+    assert code == 1
+    assert failed == ["bracket-family-1", "bracket-family-2",
+                      "bracket-family-3", "chevalley-e_i-f_i"]
+
+
+def test_planted_nan_fails_as_non_finite(monkeypatch, capsys):
+    def with_nan(M):
+        r, c = np.argwhere(M)[0]
+        M[r, c] = np.nan
+        return M
+
+    plant(monkeypatch, with_nan)
+    code = main(["rep-check", "--n", "3"])
+    report = json.loads(capsys.readouterr().out)
+    failed = [c for c in report["checks"] if c["verdict"] == "FAIL"]
+    assert code == 1
+    assert failed and all(c["residual"] == "nan" for c in failed)
+    assert "bracket-family-1" in [c["id"] for c in failed]
