@@ -31,6 +31,6 @@ for row in rows:
           f"{row['ell_expanding']:8.4f}  {row['length_product']:.4f}")
 
 # The full battery: closure, parallelism, unit volume, rotations.
-for check in el.selfdual_full_check(p):
+for check in el.selfdual_full_check(data, X):
     print(f"{check['id']}: residual {check['residual']:.2e} "
           f"{check['verdict']}")

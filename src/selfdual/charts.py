@@ -1,15 +1,18 @@
 """Coordinate-chart differential geometry driven by convex potentials.
 
 A chart carries a smooth convex potential K on an n-box; its Hessian is a
-metric g on the base.  Over the chart we build the 3n-dimensional total
-space with coordinates (x, y1, y2): two 2-form fields pairing the base with
-each fibre block through g, the degree-2 dualizing field with its base
-correction term, and the metric field that makes the twisted horizontal
+metric g on the base.  Over the chart the 3n-dimensional total space with
+coordinates (x, y1, y2) carries one structure: two 2-forms pairing the
+base with each fibre block through g, the degree-2 dual form with its
+base correction term, and the metric that makes the twisted horizontal
 frame carry g-lengths orthogonally to both fibre blocks.
 
-All coefficient fields evaluate through truncated Taylor jets, so exterior
-derivatives and Christoffel symbols come out at machine precision, with
-finite differences as an independent cross-check.
+A `FieldStructure` reads all four from one jets callable, which returns
+them at a point as truncated Taylor jets.  Over a chart that callable is
+a per-chart cache (`_ChartJets.at`) that assembles the four once per
+point and order; a constant structure's callable returns constant jets.
+Jets give exterior derivatives and Christoffel symbols at machine
+precision, with finite differences as an independent cross-check.
 """
 
 import numpy as np
@@ -257,20 +260,12 @@ class MetricField:
         return np.array([[e.value for e in row] for row in J])
 
 
-def _const_form_builder(dim, omega):
-    def build(p, order):
-        sp = jet_space(dim, order)
-        return {m: sp.constant(c) for m, c in omega.terms.items()}
-
-    return build
+FORMS = ("omega1", "omega2", "omegaD")
 
 
-def _const_metric_builder(dim, h):
-    def build(p, order):
-        sp = jet_space(dim, order)
-        return [[sp.constant(h[i, j]) for j in range(dim)] for i in range(dim)]
-
-    return build
+def _entry(jets, name):
+    """A field builder that reads one named entry of a structure's jets."""
+    return lambda p, order: jets(p, order)[name]
 
 
 def _jmat(A, B):
@@ -281,7 +276,7 @@ def _jmat(A, B):
 
 
 class _ChartJets:
-    """Per-chart cache of the coefficient jets at a point.
+    """Per-chart cache of the structure's jets at a point.
 
     Base quantities are jetted in x with three orders of headroom (the
     correction term uses third potential derivatives), then embedded into
@@ -316,9 +311,7 @@ class _ChartJets:
         T = [[sum((y2j[m] * (-1.0 * gx[i][m].partial(j).embed(full, xmap))
                    for m in range(n)), full.zero())
               for j in range(n)] for i in range(n)]
-        ginv = jet_matrix_inverse(g)
-        TgT = _jmat(T, _jmat(ginv, T))
-        C = _jmat(ginv, T)
+        TgT = _jmat(T, _jmat(jet_matrix_inverse(g), T))
 
         h = [[full.zero() for _ in range(d)] for _ in range(d)]
         for i in range(n):
@@ -328,7 +321,17 @@ class _ChartJets:
                 h[2 * n + i][2 * n + j] = g[i][j]
                 h[i][2 * n + j] = -1.0 * T[i][j]
                 h[2 * n + j][i] = -1.0 * T[i][j]
-        out = {"g": g, "T": T, "h": h, "C": C, "space": full}
+        pairs = [(i, j) for i in range(n) for j in range(n)]
+        # the dual form pairs the two fibres through g, with base
+        # correction T on x_j ^ y1_i
+        omegaD = {(1 << (n + i)) | (1 << (2 * n + j)): g[i][j]
+                  for i, j in pairs}
+        omegaD.update({(1 << j) | (1 << (n + i)): T[i][j] for i, j in pairs})
+        out = {"omega1": {(1 << i) | (1 << (n + k)): g[i][k]
+                          for i, k in pairs},
+               "omega2": {(1 << i) | (1 << (2 * n + k)): g[i][k]
+                          for i, k in pairs},
+               "omegaD": omegaD, "h": h}
         if len(self._cache) > 64:
             self._cache.clear()
         self._cache[key] = out
@@ -336,38 +339,51 @@ class _ChartJets:
 
 
 class FieldStructure:
-    """The three form fields and metric field on a 3n-dimensional chart.
+    """Two pairings, their dual form and one metric on a 3n-dimensional
+    total space, read from one jets callable.
 
-    A constant structure also records the dual form and metric it was
-    built from (`flat_dual`, `flat_metric`; None otherwise) and its
-    periods, the unit torus by default.
+    jets(p, order) returns the structure at p as Taylor jets of that
+    order in the 3n coordinates: {"omega1", "omega2", "omegaD": {axis
+    mask: Jet}, "h": d x d nested list of Jets}. The fields `omega1`,
+    `omega2`, `omegaD` and `h` are views onto it. A chart structure
+    (`build_XY`) keeps its chart; a constant structure also records the
+    dual form and metric it was built from (`flat_dual`, `flat_metric`;
+    None otherwise) and its periods, the unit torus by default.
     """
 
-    def __init__(self, n, omega1, omega2, omegaD, h, chart=None, periods=None):
+    def __init__(self, n, jets, chart=None, periods=None):
         self.n = int(n)
         self.dim = 3 * self.n
-        self.omega1 = omega1
-        self.omega2 = omega2
-        self.omegaD = omegaD
-        self.h = h
+        self._jets = jets
+        self.omega1, self.omega2, self.omegaD = (
+            FormField(self.dim, _entry(jets, name)) for name in FORMS)
+        self.h = MetricField(self.dim, _entry(jets, "h"))
         self.chart = chart
         self.periods = None if periods is None else np.asarray(periods, float)
         self.flat_dual = self.flat_metric = None
-        self._jets = None
 
     @classmethod
     def constant(cls, n, O1, O2, OD, h, periods=None):
         d = 3 * n
-        O1, O2, OD = (om if isinstance(om, Multivector)
-                      else ext.matrix_to_form(np.asarray(om, dtype=float))
-                      for om in (O1, O2, OD))
+        forms = dict(zip(FORMS, (
+            om if isinstance(om, Multivector)
+            else ext.matrix_to_form(np.asarray(om, dtype=float))
+            for om in (O1, O2, OD))))
         h = np.asarray(h, dtype=float)
-        F = cls(n, *(FormField(d, _const_form_builder(d, om))
-                     for om in (O1, O2, OD)),
-                MetricField(d, _const_metric_builder(d, h)),
-                periods=np.ones(d) if periods is None else periods)
-        F.flat_dual, F.flat_metric = OD, h
+
+        def jets(p, order):
+            sp = jet_space(d, order)
+            out = {name: {m: sp.constant(c) for m, c in om.terms.items()}
+                   for name, om in forms.items()}
+            out["h"] = [[sp.constant(v) for v in row] for row in h]
+            return out
+
+        F = cls(n, jets, periods=np.ones(d) if periods is None else periods)
+        F.flat_dual, F.flat_metric = forms["omegaD"], h
         return F
+
+    def jets(self, p, order):
+        return self._jets(np.asarray(p, dtype=float), order)
 
     def circle_lengths(self):
         """Length of the coordinate circle along each axis of a constant
@@ -385,57 +401,20 @@ class FieldStructure:
         return pl.PolyStructure(self.n, 2, [O1, O2], metric=self.h.at(p))
 
     def twisted_frame(self, p):
-        """Horizontal frame orthogonal to both fibre blocks, as columns."""
-        n, d = self.n, self.dim
-        V = np.zeros((d, n))
-        V[:n, :n] = np.eye(n)
-        if self.chart is not None:
-            bundle = self._chart_jets().at(np.asarray(p, float), 0)
-            V[2 * n :, :] = np.array(
-                [[e.value for e in row] for row in bundle["C"]])
+        """Horizontal frame orthogonal to both fibre blocks, as columns:
+        each base axis plus the fibre vector that makes it h-orthogonal
+        to the fibres."""
+        n = self.n
+        h = self.h.at(p)
+        V = np.zeros((self.dim, n))
+        V[:n] = np.eye(n)
+        V[n:] = -np.linalg.solve(h[n:, n:], h[n:, :n])
         return V
-
-    def _chart_jets(self):
-        if self._jets is None:
-            self._jets = _ChartJets(self.chart)
-        return self._jets
 
 
 def build_XY(C):
     """Total-space structure over a chart: two pairings, dual field, metric."""
-    n = C.n
-    d = 3 * n
-    F = FieldStructure(n, None, None, None, None, chart=C)
-    cache = F._chart_jets()
-
-    def pairing_builder(block):
-        def build(p, order):
-            b = cache.at(p, order)
-            return {(1 << i) | (1 << (block * n + k)): b["g"][i][k]
-                    for i in range(n) for k in range(n)}
-        return build
-
-    def dual_builder(p, order):
-        b = cache.at(p, order)
-        out = {}
-        for i in range(n):
-            for j in range(n):
-                out[(1 << (n + i)) | (1 << (2 * n + j))] = b["g"][i][j]
-        for i in range(n):
-            for j in range(n):
-                mask = (1 << j) | (1 << (n + i))
-                prev = out.get(mask)
-                out[mask] = b["T"][i][j] if prev is None else prev + b["T"][i][j]
-        return out
-
-    def metric_builder(p, order):
-        return cache.at(p, order)["h"]
-
-    F.omega1 = FormField(d, pairing_builder(1))
-    F.omega2 = FormField(d, pairing_builder(2))
-    F.omegaD = FormField(d, dual_builder)
-    F.h = MetricField(d, metric_builder)
-    return F
+    return FieldStructure(C.n, _ChartJets(C).at, chart=C)
 
 
 # ---------------------------------------------------------------------------
@@ -498,11 +477,10 @@ def verify_weak_selfdual(F, grid, tol=1e-8):
     Returns the check records `dual-form-closed`, `pairing-1-closed` and
     `pairing-2-closed`: the max norm of each exterior derivative.
     """
-    names = ("omega1", "omega2", "omegaD")
     worst, note = _worst_over(
         np.atleast_2d(np.asarray(grid, dtype=float)),
         lambda p: {name: exterior_derivative(F.field(name), p).norm()
-                   for name in names}, names)
+                   for name in FORMS}, FORMS)
     return [rp.check(check_id, anchor + note, worst[name], tol)
             for name, check_id, anchor in (
                 ("omegaD", "dual-form-closed", "exterior derivative of the "
@@ -546,7 +524,8 @@ def fibre_volume_product(g):
 def covariant_constancy(F, p):
     """Levi-Civita derivative norms of the three form fields at p."""
     d = F.dim
-    hj = F.h.jets(p, 1)
+    bundle = F.jets(p, 1)
+    hj = bundle["h"]
     h0 = np.array([[e.value for e in row] for row in hj])
     dh = np.empty((d, d, d))  # dh[c, a, b] = d_c h_ab
     for a in range(d):
@@ -561,11 +540,10 @@ def covariant_constancy(F, p):
     Gamma = 0.5 * np.einsum(
         "lr,irm->lim", hinv, dh + np.transpose(dh, (2, 1, 0)) - np.transpose(dh, (1, 0, 2)))
     out = []
-    for name in ("omega1", "omega2", "omegaD"):
-        oj = F.field(name).jets(p, 1)
+    for name in FORMS:
         O0 = np.zeros((d, d))
         dO = np.zeros((d, d, d))
-        for mask, jet in oj.items():
+        for mask, jet in bundle[name].items():
             a, b = ext.mask_axes(mask)
             v = jet.value
             O0[a, b], O0[b, a] = v, -v

@@ -155,7 +155,7 @@ def suite_mirror(tau, t, tol_identity):
                  "torus invariants", round_trip, tol_identity),
         rp.check("unit-volume", "product of the two fibre lengths",
                  abs(data.ell_1 * data.ell_2 - 1.0), tol_identity),
-        *el.selfdual_full_check(p),
+        *el.selfdual_full_check(data, F),
     ]
     payload = {
         "invariants": {

@@ -193,18 +193,18 @@ def gh_scale_profile(p, rs):
     return rows
 
 
-def selfdual_full_check(p):
-    """Run the closure, parallelism, unit-volume and rotation checks.
+def selfdual_full_check(data, F):
+    """Run the closure, parallelism, unit-volume and rotation checks on
+    the invariants and structure that `build_X` returns.
 
     Returns the check records `full-closed_forms`,
     `full-covariant_constancy`, `full-unit_fibre_volume` and
     `full-rotations_selfdual`. A rotation that leaves the compatible
     structures gives an infinite residual.
     """
-    data, F = build_X(p)
     point = np.array([0.1, 0.2, 0.3])
     d_res = rp.worst(ch.exterior_derivative(F.field(name), point).norm()
-                     for name in ("omega1", "omega2", "omegaD"))
+                     for name in ch.FORMS)
     cov = rp.worst(ch.covariant_constancy(F, point))
 
     P = F.structure_at(point)

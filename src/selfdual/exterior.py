@@ -26,7 +26,11 @@ class GeometryError(Exception):
     """Base class for structural failures detected by the library."""
 
 
-class NotPositiveDefinite(GeometryError):
+class NotAMetric(GeometryError, ValueError):
+    """A matrix that fails the metric rule (`metric_fault`)."""
+
+
+class NotPositiveDefinite(NotAMetric):
     pass
 
 
@@ -249,7 +253,7 @@ def _check_metric(g, dim):
     if fault == "not positive definite":
         raise NotPositiveDefinite("metric " + fault)
     if fault is not None:
-        raise ValueError("metric " + fault)
+        raise NotAMetric("metric " + fault)
     return g
 
 

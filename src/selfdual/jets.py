@@ -240,7 +240,8 @@ class Jet:
 def jet_matrix_inverse(M):
     """Invert a square array of jets by Gaussian elimination.
 
-    Pivots on value parts, so the matrix of values must be invertible.
+    Pivots on value parts, so the matrix of values must be invertible;
+    only an exactly zero pivot is refused, so c*M inverts when M does.
     """
     M = [row[:] for row in M]
     n = len(M)
@@ -249,7 +250,7 @@ def jet_matrix_inverse(M):
            for i in range(n)]
     for col in range(n):
         piv = max(range(col, n), key=lambda r: abs(M[r][col].value))
-        if abs(M[piv][col].value) < 1e-300:
+        if M[piv][col].value == 0.0:
             raise ZeroDivisionError("jet matrix has singular value part")
         M[col], M[piv] = M[piv], M[col]
         inv[col], inv[piv] = inv[piv], inv[col]

@@ -11,13 +11,12 @@ import math
 import numpy as np
 import pytest
 
-from selfdual import charts as ch
 from selfdual import exterior as ext
 from selfdual import polylinear as pl
 from selfdual.charts import (
     FieldStructure, FlatKahlerFactor, FormField, LogSumExpPotential,
-    MetricField, NotConvexHere, PolynomialPotential, PotentialChart,
-    SumPotential, build_XY, chart_from_config, chart_grid,
+    NotConvexHere, PolynomialPotential, PotentialChart, SumPotential,
+    build_XY, chart_from_config, chart_grid,
     covariant_constancy, exterior_derivative, fibre_product,
     fibre_volume_product, hessian_metric, leaf_integrability_check,
     monge_ampere_residual, random_convex_polynomial, sample_box,
@@ -412,16 +411,14 @@ def test_leaf_integrability_rotated_pair():
 def test_leaf_integrability_detects_twist():
     eps = 0.3
 
-    def o1(p, order):
-        return {0b011: jet_space(3, order).constant(1.0)}
-
-    def o2(p, order):
+    def jets(p, order):
         sp = jet_space(3, order)
-        return {0b101: sp.constant(1.0), 0b110: -eps * sp.variable(2, p[2])}
+        o1 = {0b011: sp.constant(1.0)}
+        o2 = {0b101: sp.constant(1.0), 0b110: -eps * sp.variable(2, p[2])}
+        h = [[sp.constant(float(i == j)) for j in range(3)] for i in range(3)]
+        return {"omega1": o1, "omega2": o2, "omegaD": o1, "h": h}
 
-    F = FieldStructure(
-        1, FormField(3, o1), FormField(3, o2), FormField(3, o1),
-        MetricField(3, ch._const_metric_builder(3, np.eye(3))))
+    F = FieldStructure(1, jets)
     out = leaf_integrability_check(F, [0.1, 0.2, 0.5])
     assert not out["integrable"]
     assert out["residual"] > 0.01

@@ -318,6 +318,20 @@ def test_chart_overflowing_on_its_grid_is_a_failed_report(capsys, tmp_path):
         assert "Hessian not finite at [5.e+299]" in c["anchor"]
 
 
+def test_chart_whose_inverse_metric_overflows_is_a_failed_report(capsys,
+                                                                 tmp_path):
+    # 1e-310 x**2 is convex, but its inverse Hessian 5e309 overflows, so
+    # the total-space metric built from it is not finite
+    path = chart_file(tmp_path, potential={"terms": {"2": 1e-310}})
+    code, rep = run_json(capsys, ["affine-check", "--chart", path])
+    assert code == 1
+    checks = {c["id"]: c for c in rep["checks"]}
+    for name in ("fibre-volume-product", "pointwise-compatibility"):
+        assert checks[name]["residual"] == "inf"
+        assert checks[name]["verdict"] == "FAIL"
+        assert "metric not finite" in checks[name]["anchor"]
+
+
 def test_chart_overflowing_at_a_validation_point_exits_two(capsys, tmp_path):
     path = tmp_path / "overflow.cfg"
     path.write_text(json.dumps(OVERFLOWING))
@@ -327,7 +341,7 @@ def test_chart_overflowing_at_a_validation_point_exits_two(capsys, tmp_path):
     assert "Hessian not finite at" in captured.err
 
 
-@pytest.mark.parametrize("c", [1e-12, 1e-7, 1e7])
+@pytest.mark.parametrize("c", [1e-305, 1e-12, 1e-7, 1e7, 1e300])
 def test_convexity_is_scale_free(capsys, tmp_path, c):
     # c x**2 is convex at every scale c > 0
     path = chart_file(tmp_path, potential={"terms": {"2": c}})
@@ -652,8 +666,12 @@ def test_cli_contract_holds_for_any_flag_values(command):
 
 def chart_config():
     """Small chart configs: polynomial or log-sum-exp potentials in one
-    or two dimensions, any coefficients, boxes and sizes."""
-    number = st.one_of(st.floats(-3, 3), st.floats(), st.integers(-2, 4))
+    or two dimensions, any coefficients, boxes and sizes, scales from
+    subnormal to near overflow included."""
+    scaled = st.builds(lambda m, e: m * 10.0**e, st.floats(0.5, 2),
+                       st.integers(-320, 308))
+    number = st.one_of(st.floats(-3, 3), st.floats(), st.integers(-2, 4),
+                       scaled)
     polynomial = st.dictionaries(
         st.sampled_from(["0", "1", "2", "3", "4", "2,0", "0,2", "1,1"]),
         number, max_size=3).map(lambda terms: {"terms": terms})

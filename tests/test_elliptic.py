@@ -171,7 +171,7 @@ def test_gh_profile_tracks_re_tau():
 
 def test_full_check_passes():
     for p in (EllipticParams(1j, 1j), EllipticParams(1 + 2j, 0.3 + 0.7j)):
-        rows = selfdual_full_check(p)
+        rows = selfdual_full_check(*build_X(p))
         assert len(rows) == 4
         assert all(row["verdict"] == "PASS" for row in rows), rows
 
@@ -185,7 +185,7 @@ def test_full_check_detects_corruption(monkeypatch):
                         periods=periods)
 
     monkeypatch.setattr(ch.FieldStructure, "constant", corrupted)
-    rows = selfdual_full_check(EllipticParams(1j, 1j))
+    rows = selfdual_full_check(*build_X(EllipticParams(1j, 1j)))
     verdicts = {row["id"]: row["verdict"] for row in rows}
     assert verdicts["full-unit_fibre_volume"] == "FAIL"
 
