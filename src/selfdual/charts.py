@@ -9,14 +9,14 @@ frame carry g-lengths orthogonally to both fibre blocks.
 
 A `FieldStructure` reads all four from one jets callable, which returns
 them at a point as truncated Taylor jets.  Over a chart that callable is
-a per-chart cache (`_ChartJets.at`) that assembles the four once per
-point and order; a constant structure's callable returns constant jets.
+`_ChartJets.at`, which assembles the four once per point and order and
+keeps the last bundle for the lookups that follow; a constant
+structure's callable returns constant jets.
 Jets give exterior derivatives and Christoffel symbols at machine
 precision, with finite differences as an independent cross-check.
 """
 
 import numpy as np
-from scipy.stats import qmc
 
 from . import exterior as ext
 from . import polylinear as pl
@@ -117,18 +117,35 @@ class SumPotential:
 # charts
 
 
+def _primes(count):
+    found, k = [], 2
+    while len(found) < count:
+        if all(k % q for q in found):
+            found.append(k)
+        k += 1
+    return found
+
+
 def sample_box(domain, count, seed=0):
     """Deterministic low-discrepancy points in a box.
 
-    The seed fast-forwards the unscrambled Halton sequence, so identical
-    (domain, count, seed) always yield identical points.
+    Row k is the unscrambled Halton point of index seed + k: coordinate i
+    is the radical inverse of that index in the i-th prime, summed from
+    the lowest digit. So identical (domain, count, seed) give identical
+    points.
     """
-    domain = [(float(a), float(b)) for a, b in domain]
-    h = qmc.Halton(d=len(domain), scramble=False)
-    if seed:
-        h.fast_forward(int(seed))
-    pts = h.random(int(count))
-    return qmc.scale(pts, [a for a, _ in domain], [b for _, b in domain])
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    lo, hi = np.array(domain, dtype=float).T
+    index = np.arange(int(seed), int(seed) + int(count))
+    pts = np.zeros((index.size, lo.size))
+    for i, base in enumerate(_primes(lo.size)):
+        digits, weight = index.copy(), 1.0 / base
+        while digits.any():
+            pts[:, i] += digits % base * weight
+            digits //= base
+            weight /= base
+    return pts * (hi - lo) + lo
 
 
 class PotentialChart:
@@ -141,7 +158,8 @@ class PotentialChart:
         self.n = len(self.domain)
         if potential.n != self.n:
             raise ValueError("potential dimension does not match domain")
-        if not all(-np.inf < a < b < np.inf for a, b in self.domain):
+        if not self.domain or not all(-np.inf < a < b < np.inf
+                                      for a, b in self.domain):
             raise ValueError("domain box must be finite and non-empty")
         if validate:
             for x in sample_box(self.domain, validation_points, seed):
@@ -276,7 +294,9 @@ def _jmat(A, B):
 
 
 class _ChartJets:
-    """Per-chart cache of the structure's jets at a point.
+    """The structure's jets at a point, over one chart. Only the last
+    bundle is kept: a grid point's lookups are consecutive (its forms at
+    order 1, then the fields of `structure_at` at order 0).
 
     Base quantities are jetted in x with three orders of headroom (the
     correction term uses third potential derivatives), then embedded into
@@ -285,13 +305,12 @@ class _ChartJets:
 
     def __init__(self, chart):
         self.chart = chart
-        self._cache = {}
+        self._last = (None, None)
 
     def at(self, p, order):
         key = (tuple(float(v) for v in p), order)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
+        if key == self._last[0]:
+            return self._last[1]
         n = self.chart.n
         d = 3 * n
         x, y2 = p[:n], p[2 * n :]
@@ -332,9 +351,7 @@ class _ChartJets:
                "omega2": {(1 << i) | (1 << (2 * n + k)): g[i][k]
                           for i, k in pairs},
                "omegaD": omegaD, "h": h}
-        if len(self._cache) > 64:
-            self._cache.clear()
-        self._cache[key] = out
+        self._last = (key, out)
         return out
 
 
@@ -471,7 +488,7 @@ def _worst_over(points, residuals, names):
     return {name: rp.worst(row[name] for row in rows) for name in names}, ""
 
 
-def verify_weak_selfdual(F, grid, tol=1e-8):
+def verify_weak_selfdual(F, grid):
     """Closure of the dual form and of the two pairings over the grid.
 
     Returns the check records `dual-form-closed`, `pairing-1-closed` and
@@ -481,7 +498,7 @@ def verify_weak_selfdual(F, grid, tol=1e-8):
         np.atleast_2d(np.asarray(grid, dtype=float)),
         lambda p: {name: exterior_derivative(F.field(name), p).norm()
                    for name in FORMS}, FORMS)
-    return [rp.check(check_id, anchor + note, worst[name], tol)
+    return [rp.check(check_id, anchor + note, worst[name], 1e-8)
             for name, check_id, anchor in (
                 ("omegaD", "dual-form-closed", "exterior derivative of the "
                  "dual pairing field over the sample grid"),

@@ -3,15 +3,15 @@
 Subcommands: verify-pointwise, affine-check, mirror, fm, rep-check,
 skaid-check, all. `COMMANDS` declares each one once: the suite it runs
 and, for every flag that suite reads, the flag's domain and default.
-Every run prints one JSON report (stdout or --out) and exits 0 when all
-checks pass, 1 when a check fails, 2 on bad configuration. Reports are
-byte-reproducible for a fixed seed; wall times go to stderr behind
---timing and never into the report.
+No flag moves a threshold: each check fixes its own and prints it in
+its record. Every run prints one JSON report (stdout or --out) and
+exits 0 when all checks pass, 1 when a check fails, 2 on bad
+configuration. Reports are byte-reproducible for a fixed seed; wall
+times go to stderr behind --timing and never into the report.
 """
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -45,20 +45,10 @@ class Int(namedtuple("Int", "lo cap")):
                           f"{self.lo}..{self.cap}, got {value!r}")
 
 
-# fast-forwarding a chart grid's Halton sequence costs seed points
+# a chart grid's Halton sequence starts at index seed
 SEED = Int(0, 10**5)
 # grid points, and a chart config's grid_size and validation_points
 POINTS = Int(1, 10**4)
-
-
-def tolerance(text):
-    """A threshold: positive and finite."""
-    try:
-        if 0 < float(text) < math.inf:
-            return float(text)
-    except ValueError:
-        pass
-    raise ConfigError(f"tolerance must be positive and finite, got {text!r}")
 
 
 def parse_complex(text):
@@ -88,7 +78,7 @@ def modulus(text):
 # suites
 
 
-def suite_verify_pointwise(n, s, trials, seed, tol_rank):
+def suite_verify_pointwise(n, s, trials, seed):
     rng = np.random.default_rng(seed)
     base = pl.normal_form(n, s, metric=(s == 2))
     d = (s + 1) * n
@@ -108,16 +98,15 @@ def suite_verify_pointwise(n, s, trials, seed, tol_rank):
             f"pointwise-{trial:03d}",
             "random frame reduced to the simultaneous normal form, "
             "with orthonormal witness when a metric is present",
-            res / max(1.0, scale), tol_rank))
-    config = {"n": n, "s": s, "trials": trials, "seed": seed,
-              "tol_rank": tol_rank}
+            res / max(1.0, scale), 1e-10))
+    config = {"n": n, "s": s, "trials": trials, "seed": seed}
     return rp.make_report("verify-pointwise", config, checks)
 
 
 # jets that overflow reach the records as inf or NaN FAILs, so numpy
 # need not warn about them
 @np.errstate(over="ignore", invalid="ignore")
-def suite_affine_check(chart, points, seed, tol_field):
+def suite_affine_check(chart, points, seed):
     try:
         with open(chart) as fh:
             raw = json.load(fh)
@@ -132,17 +121,16 @@ def suite_affine_check(chart, points, seed, tol_field):
     count = entries["grid_size"] if points is None else points
     F = ch.build_XY(C)
     grid = ch.chart_grid(C, count, seed=seed)
-    checks = (ch.verify_weak_selfdual(F, grid, tol=tol_field)
+    checks = (ch.verify_weak_selfdual(F, grid)
               + ch.verify_fibre_metric(F, grid[:20]))
     data = {"chart": os.path.basename(chart), "dimensions": C.n,
             "grid_points": len(grid), "monge_ampere_residual":
             ch.monge_ampere_residual(C, grid[:, : C.n])}
-    config = {"chart": chart, "points": count, "seed": seed,
-              "tol_field": tol_field}
+    config = {"chart": chart, "points": count, "seed": seed}
     return rp.make_report("affine-check", config, checks, data)
 
 
-def suite_mirror(tau, t, tol_identity):
+def suite_mirror(tau, t):
     p = el.EllipticParams(tau, t)
     data, F = el.build_X(p)
     first, second = el.recover_mirror_pair(data)
@@ -152,9 +140,9 @@ def suite_mirror(tau, t, tol_identity):
         el.circle_distance(first.t.real, p.t1)])
     checks = [
         rp.check("mirror-round-trip", "parameters recovered from the "
-                 "torus invariants", round_trip, tol_identity),
+                 "torus invariants", round_trip, 1e-12),
         rp.check("unit-volume", "product of the two fibre lengths",
-                 abs(data.ell_1 * data.ell_2 - 1.0), tol_identity),
+                 abs(data.ell_1 * data.ell_2 - 1.0), 1e-12),
         *el.selfdual_full_check(data, F),
     ]
     payload = {
@@ -168,8 +156,7 @@ def suite_mirror(tau, t, tol_identity):
         "complexified_area_first": rp.complex_str(
             el.complexified_area(first)),
     }
-    config = {"tau": rp.complex_str(tau), "t": rp.complex_str(t),
-              "tol": tol_identity}
+    config = {"tau": rp.complex_str(tau), "t": rp.complex_str(t)}
     return rp.make_report("mirror", config, checks, payload)
 
 
@@ -218,9 +205,8 @@ def suite_fm(tau, t, alpha, j, samples):
     return rp.make_report("fm", config, checks, data)
 
 
-def suite_rep_check(n, tol_identity):
-    checks = (liealg.verify_commutations(n, tol=tol_identity)
-              + liealg.verify_chevalley(n, tol=tol_identity))
+def suite_rep_check(n):
+    checks = liealg.verify_commutations(n) + liealg.verify_chevalley(n)
     gens = []
     for (a, b) in ((0, 1), (0, 2), (1, 2)):
         M = liealg.L(n, a, b)
@@ -234,14 +220,13 @@ def suite_rep_check(n, tol_identity):
     checks.append(rp.check(
         "single-pairing-closure", "classical triple from one pairing",
         abs(dim1 - 3), 0.5))
-    config = {"n": n, "tol_identity": tol_identity}
+    config = {"n": n}
     data = {"closure_dimension": dim, "single_pairing_dimension": dim1}
     return rp.make_report("rep-check", config, checks, data)
 
 
-def suite_skaid(n, N, samples, seed, tol_identity):
-    checks = derham.verify_skaid(n, N, samples=samples, seed=seed,
-                                 tol=tol_identity)
+def suite_skaid(n, N, samples, seed):
+    checks = derham.verify_skaid(n, N, samples=samples, seed=seed)
     checks.append(rp.check(
         "harmonic-invariance", "zero-frequency subspace carries the "
         "operator algebra unchanged",
@@ -250,18 +235,17 @@ def suite_skaid(n, N, samples, seed, tol_identity):
                  for (a, b) in ((0, 1), (1, 2),
                                 (liealg.bar(0), liealg.bar(1)))),
         1e-15))
-    config = {"n": n, "N": N, "samples": samples, "seed": seed,
-              "tol": tol_identity}
+    config = {"n": n, "N": N, "samples": samples, "seed": seed}
     return rp.make_report("skaid-check", config, checks)
 
 
-def suite_all(seed, tol_rank, tol_identity):
+def suite_all(seed):
     reports = [
-        suite_verify_pointwise(2, 2, 25, seed, tol_rank),
-        suite_mirror(1j, 1j, tol_identity),
+        suite_verify_pointwise(2, 2, 25, seed),
+        suite_mirror(1j, 1j),
         suite_fm(1j, 1j, "1", 1, 64),
-        suite_rep_check(1, tol_identity),
-        suite_skaid(1, 3, 20, seed, 1e-10),
+        suite_rep_check(1),
+        suite_skaid(1, 3, 20, seed),
     ]
     return rp.make_bundle("all", {"seed": seed}, reports)
 
@@ -273,7 +257,6 @@ def suite_all(seed, tol_rank, tol_identity):
 Flag = namedtuple("Flag", "type default required", defaults=(None, False))
 Command = namedtuple("Command", "help suite flags")
 SEED_FLAG, MODULUS = Flag(SEED, 0), Flag(modulus, required=True)
-TOL_RANK, TOL_IDENTITY = Flag(tolerance, 1e-10), Flag(tolerance, 1e-12)
 
 # Each suite is looked up when it runs, so a wrapper installed on the
 # module attribute sees every call. README gives the measured cost or
@@ -283,16 +266,15 @@ COMMANDS = {
         "random-frame normal form and witness checks",
         lambda **kw: suite_verify_pointwise(**kw),
         {"--n": Flag(Int(1, 32), 2), "--s": Flag(Int(1, 12), 2),
-         "--trials": Flag(Int(1, 10**4), 100), "--seed": SEED_FLAG,
-         "--tol-rank": TOL_RANK}),
+         "--trials": Flag(Int(1, 10**4), 100), "--seed": SEED_FLAG}),
     "affine-check": Command(
         "field-level closure checks for a chart config",
         lambda **kw: suite_affine_check(**kw),
         {"--chart": Flag(str, required=True), "--points": Flag(POINTS),
-         "--seed": SEED_FLAG, "--tol-field": Flag(tolerance, 1e-8)}),
+         "--seed": SEED_FLAG}),
     "mirror": Command(
         "torus invariants and recovery", lambda **kw: suite_mirror(**kw),
-        {"--tau": MODULUS, "--t": MODULUS, "--tol-identity": TOL_IDENTITY}),
+        {"--tau": MODULUS, "--t": MODULUS}),
     "fm": Command(
         "fibrewise integral transform tables", lambda **kw: suite_fm(**kw),
         {"--tau": MODULUS, "--t": MODULUS, "--alpha": Flag(str, "1"),
@@ -300,18 +282,16 @@ COMMANDS = {
          "--samples": Flag(Int(1, 10**5), 64)}),
     "rep-check": Command(
         "bracket identities and closure", lambda **kw: suite_rep_check(**kw),
-        {"--n": Flag(Int(1, 3), 2), "--tol-identity": TOL_IDENTITY}),
+        {"--n": Flag(Int(1, 3), 2)}),
     "skaid-check": Command(
         "commutation identities on the Fourier complex",
         lambda **kw: suite_skaid(**kw),
         # identities 2-4 lose precision as N**2
         {"--n": Flag(Int(1, 2), 1), "--N": Flag(Int(1, 16), 4),
-         "--samples": Flag(Int(1, 1000), 50), "--seed": SEED_FLAG,
-         "--tol-identity": Flag(tolerance, 1e-10)}),
+         "--samples": Flag(Int(1, 1000), 50), "--seed": SEED_FLAG}),
     "all": Command(
         "every suite at default sizes", lambda **kw: suite_all(**kw),
-        {"--seed": SEED_FLAG, "--tol-rank": TOL_RANK,
-         "--tol-identity": TOL_IDENTITY}),
+        {"--seed": SEED_FLAG}),
 }
 
 

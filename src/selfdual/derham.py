@@ -324,7 +324,7 @@ def fibre_integrate(F, axis, length, samples):
 UNBARRED_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
-def verify_skaid(n, N, samples=50, seed=0, tol=1e-10):
+def verify_skaid(n, N, samples=50, seed=0):
     """Residuals of the four commutation identities on random forms.
 
     Returns one check record per identity, `identity-1..4`, carrying the
@@ -356,7 +356,7 @@ def verify_skaid(n, N, samples=50, seed=0, tol=1e-10):
     return [rp.check(f"identity-{i}", identity,
                      rp.worst(residual(M, F).norm() / max(1.0, F.norm())
                               for M in operators for F in sample),
-                     tol)
+                     1e-10)
             for i, (identity, operators, sample, residual)
             in enumerate(identities, start=1)]
 

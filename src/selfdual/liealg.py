@@ -183,7 +183,7 @@ def relation_domains(s=2):
     return doms
 
 
-def verify_commutations(n, s=2, tol=1e-12):
+def verify_commutations(n, s=2):
     """Sweep the five bracket identities over their index domains.
 
     Returns one check record per family, `bracket-family-1..5`, carrying
@@ -222,11 +222,11 @@ def verify_commutations(n, s=2, tol=1e-12):
     return [rp.check(f"bracket-family-{fam}",
                      f"bracket identity family {fam} over "
                      f"{len(doms[fam])} index tuples",
-                     rp.worst(map(residual, doms[fam])), tol)
+                     rp.worst(map(residual, doms[fam])), 1e-12)
             for fam, residual in funcs.items()]
 
 
-def verify_chevalley(n, tol=1e-12):
+def verify_chevalley(n):
     """Check the nine bracket families of the A_3 Chevalley presentation
     and the tracelessness of the generators; one `chevalley-*` record
     each, the id taken from the relation's left side."""
@@ -240,7 +240,7 @@ def verify_chevalley(n, tol=1e-12):
         checks.append(rp.check(
             f"chevalley-{check_id}", relation,
             rp.worst(abs(residual_fn(i, j)).max() for (i, j) in pairs),
-            tol))
+            1e-12))
 
     allp = [(i, j) for i in range(3) for j in range(3)]
     offd = [(i, j) for (i, j) in allp if i != j]

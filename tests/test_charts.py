@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import qmc
 
 from selfdual import exterior as ext
 from selfdual import polylinear as pl
@@ -434,6 +435,21 @@ def test_sample_box_deterministic():
     np.testing.assert_array_equal(a, b)
     c = sample_box([(0.0, 2.0), (-1.0, 1.0)], 16, seed=10)
     assert np.max(np.abs(a - c)) > 1e-6
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        sample_box([(0.0, 1.0)], 4, seed=-1)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_sample_box_is_the_unscrambled_halton_sequence(d):
+    # scipy's generator, fast-forwarded by the seed, is the oracle
+    lo, hi = np.linspace(-2.0, 0.5, d), np.linspace(-1.0, 3.0, d)
+    for seed in (0, 1, 101, 4096, 100000, 100101):
+        for count in (1, 17, 200, 1000):
+            halton = qmc.Halton(d=d, scramble=False)
+            halton.fast_forward(seed)
+            want = qmc.scale(halton.random(count), lo, hi)
+            np.testing.assert_array_equal(
+                sample_box(list(zip(lo, hi)), count, seed), want)
 
 
 def test_chart_from_config_polynomial():

@@ -1,0 +1,91 @@
+"""Planted faults: each row breaks one function of the package and names
+exactly the records that must fail.
+
+A record that no fault can flip states a claim the report does not
+check. Each row monkeypatches one `selfdual` function, runs one command
+line, and asserts exit 1, a report carrying every pinned record id, and
+FAIL on exactly the named records. The pinned id lists are read from
+`perfbench/workloads.py`, which these tests only load.
+"""
+
+import dataclasses
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+from selfdual import elliptic as el
+from selfdual import exterior as ext
+from selfdual import liealg
+from selfdual.cli import main
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WL = load_workloads()
+
+
+def shifted_angle(build_X):
+    """theta_1 read 0.01 off the gluing, the structure unchanged."""
+    def faulty(p):
+        data, F = build_X(p)
+        return dataclasses.replace(data, theta_1=data.theta_1 + 0.01), F
+    return faulty
+
+
+def scaled_pairing(L):
+    """L(0, 1) scaled by 1 + 1e-6, every other operator exact."""
+    def faulty(n, alpha, beta, s=2):
+        M = L(n, alpha, beta, s)
+        return (1 + 1e-6) * M if (alpha, beta) == (0, 1) else M
+    return faulty
+
+
+def flipped_wedge(wedge_axis):
+    """The wedge sign flipped whenever the form already has an axis."""
+    def faulty(mask, a):
+        hit = wedge_axis(mask, a)
+        return hit if hit is None or not mask else (hit[0], -hit[1])
+    return faulty
+
+
+FAULTS = {
+    "build_X-theta-1-shift": (
+        el, "build_X", shifted_angle,
+        ["mirror", "--tau", "0+1i", "--t", "0+0.5i"], WL.MIRROR_IDS,
+        {"mirror-round-trip"}),
+    "L-0-1-scaled": (
+        liealg, "L", scaled_pairing, ["rep-check", "--n", "1"], WL.REP_IDS,
+        {"bracket-family-1", "bracket-family-2", "bracket-family-3"}),
+    "wedge_axis-sign": (
+        ext, "wedge_axis", flipped_wedge,
+        ["skaid-check", "--n", "1", "--N", "2", "--samples", "3"],
+        WL.SKAID_IDS, {"identity-2", "identity-3", "identity-4"}),
+}
+
+
+@pytest.mark.parametrize("module,name,fault,argv,ids,failing",
+                         FAULTS.values(), ids=FAULTS.keys())
+def test_planted_fault_fails_exactly_its_records(capsys, monkeypatch, module,
+                                                 name, fault, argv, ids,
+                                                 failing):
+    monkeypatch.setattr(module, name, fault(getattr(module, name)))
+    code = main(argv)
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert report["suite"] == argv[0]
+    assert report["pass"] is False
+    assert sorted(c["id"] for c in report["checks"]) == sorted(ids)
+    for c in report["checks"]:
+        assert set(c) == {"id", "anchor", "residual", "threshold", "verdict"}
+    assert {c["id"] for c in report["checks"]
+            if c["verdict"] == "FAIL"} == failing
