@@ -30,7 +30,7 @@ __all__ = [
     "FieldStructure", "FlatKahlerFactor", "hessian_metric",
     "monge_ampere_residual", "build_XY", "exterior_derivative",
     "verify_weak_selfdual", "fibre_volume_product", "covariant_constancy",
-    "fibre_product", "leaf_integrability_check", "sample_box", "chart_grid",
+    "fibre_product", "sample_box", "chart_grid",
     "random_convex_polynomial", "chart_from_config",
 ]
 
@@ -151,8 +151,7 @@ def sample_box(domain, count, seed=0):
 class PotentialChart:
     """Convex potential on a box, rejected unless the Hessian stays definite."""
 
-    def __init__(self, potential, domain, validation_points=64, seed=0,
-                 validate=True):
+    def __init__(self, potential, domain, validation_points=64, seed=0):
         self.potential = potential
         self.domain = [(float(a), float(b)) for a, b in domain]
         self.n = len(self.domain)
@@ -161,9 +160,8 @@ class PotentialChart:
         if not self.domain or not all(-np.inf < a < b < np.inf
                                       for a, b in self.domain):
             raise ValueError("domain box must be finite and non-empty")
-        if validate:
-            for x in sample_box(self.domain, validation_points, seed):
-                _require_definite(self.hessian(x), x)
+        for x in sample_box(self.domain, validation_points, seed):
+            _require_definite(self.hessian(x), x)
 
     def contains(self, x, slack=1e-9):
         return all(a - slack <= xi <= b + slack
@@ -417,17 +415,6 @@ class FieldStructure:
         O2 = ext.form_to_matrix(self.omega2.at(p))
         return pl.PolyStructure(self.n, 2, [O1, O2], metric=self.h.at(p))
 
-    def twisted_frame(self, p):
-        """Horizontal frame orthogonal to both fibre blocks, as columns:
-        each base axis plus the fibre vector that makes it h-orthogonal
-        to the fibres."""
-        n = self.n
-        h = self.h.at(p)
-        V = np.zeros((self.dim, n))
-        V[:n] = np.eye(n)
-        V[n:] = -np.linalg.solve(h[n:, n:], h[n:, :n])
-        return V
-
 
 def build_XY(C):
     """Total-space structure over a chart: two pairings, dual field, metric."""
@@ -438,7 +425,7 @@ def build_XY(C):
 # calculus on fields
 
 
-def exterior_derivative(F, p, method="ad", richardson=False):
+def exterior_derivative(F, p, method="ad"):
     """d of a form field at a point, by jets or by central differences."""
     if method == "ad":
         out = {}
@@ -453,29 +440,22 @@ def exterior_derivative(F, p, method="ad", richardson=False):
     if method != "fd":
         raise ValueError(f"unknown method {method!r}")
 
-    def fd_at(h):
-        out = {}
-        p0 = np.asarray(p, dtype=float)
-        for a in range(F.dim):
-            ea = np.zeros(F.dim)
-            ea[a] = h
-            hi = F.at(p0 + ea)
-            lo = F.at(p0 - ea)
-            for mask in set(hi.terms) | set(lo.terms):
-                dc = (hi.terms.get(mask, 0.0) - lo.terms.get(mask, 0.0)) / (2 * h)
-                wa = ext.wedge_axis(mask, a)
-                if wa is None:
-                    continue
-                m2, sign = wa
-                out[m2] = out.get(m2, 0.0) + sign * dc
-        return Multivector(F.dim, out)
-
     step = 1e-4
-    if not richardson:
-        return fd_at(step)
-    coarse = fd_at(step)
-    fine = fd_at(step / 2)
-    return fine + (1.0 / 3.0) * (fine - coarse)
+    out = {}
+    p0 = np.asarray(p, dtype=float)
+    for a in range(F.dim):
+        ea = np.zeros(F.dim)
+        ea[a] = step
+        hi = F.at(p0 + ea)
+        lo = F.at(p0 - ea)
+        for mask in set(hi.terms) | set(lo.terms):
+            dc = (hi.terms.get(mask, 0.0) - lo.terms.get(mask, 0.0)) / (2 * step)
+            wa = ext.wedge_axis(mask, a)
+            if wa is None:
+                continue
+            m2, sign = wa
+            out[m2] = out.get(m2, 0.0) + sign * dc
+    return Multivector(F.dim, out)
 
 
 def _worst_over(points, residuals, names):
@@ -645,63 +625,6 @@ def fibre_product(n, factor1, factor2):
     periods = np.concatenate([
         factor1.base_periods, factor1.fibre_periods, factor2.fibre_periods])
     return FieldStructure.constant(n, O1, O2, OD, h, periods=periods)
-
-
-# ---------------------------------------------------------------------------
-# leaf integrability
-
-
-def leaf_integrability_check(F, p, which=("omega1", "omega2")):
-    """Frobenius closure test for the sum of the chosen form kernels.
-
-    A smooth local frame comes from projecting fixed seed vectors onto the
-    moving kernels; brackets are evaluated by central differences.
-    """
-    p = np.asarray(p, dtype=float)
-    d = F.dim
-    fields = [F.field(name) for name in which]
-
-    def kernel_projector(field, q):
-        A = ext.form_to_matrix(field.at(q))
-        return np.eye(d) - np.linalg.pinv(A, rcond=1e-10) @ A
-
-    frames = []
-    for field in fields:
-        seeds = pl.kernel(ext.form_to_matrix(field.at(p)))
-        proj = lambda q, f=field: kernel_projector(f, q)
-        for i in range(seeds.shape[1]):
-            frames.append((proj, seeds[:, i].copy()))
-
-    def Z(idx, q):
-        proj, seed = frames[idx]
-        return proj(q) @ seed
-
-    Z0 = np.column_stack([Z(i, p) for i in range(len(frames))])
-    u, sv, _ = np.linalg.svd(Z0, full_matrices=False)
-    rank = int(np.sum(sv > 1e-10 * sv[0]))
-    basis = u[:, :rank]
-    Pi = basis @ basis.T
-
-    jac = []
-    step = 1e-5
-    for i in range(len(frames)):
-        J = np.empty((d, d))
-        for c in range(d):
-            ec = np.zeros(d)
-            ec[c] = step
-            J[:, c] = (Z(i, p + ec) - Z(i, p - ec)) / (2 * step)
-        jac.append(J)
-
-    def leak(a, b):
-        bracket = jac[b] @ Z0[:, a] - jac[a] @ Z0[:, b]
-        scale = max(1.0, np.linalg.norm(Z0[:, a]) * np.linalg.norm(Z0[:, b]))
-        return np.linalg.norm(bracket - Pi @ bracket) / scale
-
-    # the 0.0 stands for a single frame field, which has no brackets
-    residual = rp.worst([0.0] + [leak(a, b) for a in range(len(frames))
-                                 for b in range(a + 1, len(frames))])
-    return {"integrable": residual < 1e-8, "residual": residual,
-            "dimension": rank}
 
 
 # ---------------------------------------------------------------------------

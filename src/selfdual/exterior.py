@@ -284,25 +284,6 @@ def inner(a, b, g=None):
     return total
 
 
-def pullback(M, a):
-    """Algebra morphism on forms induced by the linear map M on the space.
-
-    For a 1-form phi the result is phi composed with M, i.e. coefficients
-    M.T @ c; higher grades extend multiplicatively over the wedge.
-    """
-    M = np.asarray(M, dtype=float)
-    if M.shape != (a.dim, a.dim):
-        raise ValueError("matrix shape %s does not match dimension %d" % (M.shape, a.dim))
-    MT = M.T
-    out = Multivector.zero(a.dim)
-    for m, c in a.terms.items():
-        piece = Multivector.scalar(a.dim, c)
-        for ax in mask_axes(m):
-            piece = wedge(piece, Multivector.covector(MT[:, ax]))
-        out = out + piece
-    return out
-
-
 def form_to_matrix(omega):
     """Antisymmetric d x d matrix A with omega(u, v) = u^T A v, grade-2 input."""
     d = omega.dim

@@ -4,8 +4,8 @@ A structure here is s antisymmetric 2-forms on a real vector space of
 dimension n(s+1), each of rank 2n, whose kernels are as independent as
 possible.  The module builds normal-form bases, tests whether a metric is
 adapted to the forms, produces the degree-2 dualizing form for s=2, and
-implements the deformation / rotation / interpolation constructions plus
-the bijection between adapted metrics and their reduced data.
+implements the length-rescaling deformations and the rotation that swaps
+the dualizing form into the pair.
 
 Axis convention follows `exterior`: one n-block of base axes, then s
 n-blocks of fibre axes.
@@ -15,15 +15,14 @@ import numpy as np
 
 from . import exterior as ext
 from . import report as rp
-from .exterior import GeometryError, Multivector, NotPositiveDefinite
+from .exterior import GeometryError, Multivector
 
 __all__ = [
     "NotPolysymplectic", "Degenerate", "NotCompatible",
     "PolyStructure", "StandardBasis", "CompatibilityResult",
-    "kernel", "standard_basis", "is_compatible", "dualizing_form",
+    "standard_basis", "is_compatible", "dualizing_form",
     "dualizing_form_from_basis", "deform", "rotate_structure",
-    "is_block_compatible", "interpolate_block_compatible",
-    "metric_from_data", "metric_data", "normal_form", "pulled_back",
+    "normal_form", "pulled_back",
 ]
 
 RANK_TOL = 1e-10
@@ -73,11 +72,6 @@ def _as_matrix(omega):
     return A
 
 
-def kernel(omega):
-    """Orthonormal basis of the vectors contracting to zero in a 2-form."""
-    return _nullspace(_as_matrix(omega))
-
-
 def _canonical_matrix(n, s, j):
     # normal form of the j-th form (1-based j): pairs base block with block j
     d = n * (s + 1)
@@ -111,9 +105,6 @@ class PolyStructure:
             ext._check_metric(metric, self.dim)
         self.metric = metric
         self._fj = None
-
-    def with_metric(self, metric):
-        return PolyStructure(self.n, self.s, self.matrices, metric)
 
     def kernel_blocks(self):
         """Per-form blocks: intersection of the kernels of the other forms."""
@@ -158,14 +149,6 @@ class StandardBasis:
         self.s = int(s)
         self.matrix = np.asarray(matrix, dtype=float)
         self.orthonormal = bool(orthonormal)
-
-    @property
-    def v(self):
-        return self.matrix[:, : self.n]
-
-    def w(self, j):
-        """Fibre block for the j-th form, 1-based."""
-        return self.matrix[:, j * self.n : (j + 1) * self.n]
 
     def normal_form_residual(self, P):
         B = self.matrix
@@ -363,95 +346,6 @@ def rotate_structure(P, mode):
     else:
         raise ValueError(f"unknown rotation mode {mode!r}")
     return PolyStructure(P.n, P.s, forms, metric=P.metric)
-
-
-def is_block_compatible(g, P):
-    """Kernel blocks mutually orthogonal and the orthocomplement isotropic."""
-    P.validate()
-    g = np.asarray(g, dtype=float)
-    ext._check_metric(g, P.dim)
-    Fj = P.kernel_blocks()
-    scale = np.max(np.abs(g))
-    for j in range(P.s):
-        for k in range(j + 1, P.s):
-            if np.max(np.abs(Fj[j].T @ g @ Fj[k])) > COMPAT_TOL * scale:
-                return False
-    W = _orthocomplement(g, np.hstack(Fj))
-    fscale = max(np.max(np.abs(A)) for A in P.matrices)
-    for A in P.matrices:
-        if np.max(np.abs(W.T @ A @ W)) > COMPAT_TOL * fscale:
-            return False
-    return True
-
-
-def interpolate_block_compatible(g1, g2, P, t):
-    """Convex combination t*g1 + (1-t)*g2 of block-compatible metrics."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("interpolation parameter must lie in [0, 1]")
-    g1 = np.asarray(g1, dtype=float)
-    g2 = np.asarray(g2, dtype=float)
-    if not is_block_compatible(g1, P):
-        raise GeometryError("first metric is not block-compatible")
-    if not is_block_compatible(g2, P):
-        raise GeometryError("second metric is not block-compatible")
-    F = P.kernel_sum()
-    scale = max(np.max(np.abs(g1)), np.max(np.abs(g2)))
-    if np.max(np.abs(F.T @ (g1 - g2) @ F)) > COMPAT_TOL * scale:
-        raise GeometryError("metrics disagree on the kernel sum")
-    gt = t * g1 + (1.0 - t) * g2
-    if not is_block_compatible(gt, P):
-        raise GeometryError("interpolated metric failed the block test")
-    return gt
-
-
-def metric_data(P):
-    """Forward extraction: (full metric for restriction, orthocomplement)."""
-    if P.metric is None:
-        raise ValueError("structure has no metric")
-    return P.metric.copy(), _orthocomplement(P.metric, P.kernel_sum())
-
-
-def metric_from_data(g1, W, P):
-    """Rebuild the unique adapted metric from its reduced data.
-
-    g1 is a symmetric matrix whose restriction to the first kernel block is
-    used; W is a basis of a complement of the kernel sum, isotropic for every
-    form.  The first fibre frame is g1-orthonormalized and the rest follows
-    by duality; the metric declares the assembled basis orthonormal.
-    """
-    P.validate()
-    n, s, d = P.n, P.s, P.dim
-    if s < 2:
-        raise ValueError("reduced data requires at least two forms")
-    g1 = np.asarray(g1, dtype=float)
-    W = np.atleast_2d(np.asarray(W, dtype=float))
-    if W.shape == (n, d):
-        W = W.T
-    if W.shape != (d, n):
-        raise ValueError(f"complement must be {d}x{n}")
-    Fj = P.kernel_blocks()
-    # decide on the subspace, not on the scale of the columns spanning it
-    e0 = np.linalg.qr(W)[0]
-    if _rank(W) < n or _rank(np.hstack([e0, *Fj])) != d:
-        raise GeometryError("subspace is not complementary to the kernel sum")
-    fscale = max(np.max(np.abs(A)) for A in P.matrices)
-    for A in P.matrices:
-        if np.max(np.abs(e0.T @ A @ e0)) > 1e-8 * fscale:
-            raise GeometryError("complement is not isotropic for the forms")
-
-    f10 = _dual(P, 0, e0)
-    G0 = f10.T @ g1 @ f10
-    G0 = 0.5 * (G0 + G0.T)
-    try:
-        L = np.linalg.cholesky(G0)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite(
-            "datum is not positive definite on the first kernel block") from None
-    e = e0 @ L
-    B = np.hstack([e] + [_dual(P, j, e) for j in range(s)])
-    Binv = np.linalg.inv(B)
-    g = Binv.T @ Binv
-    return 0.5 * (g + g.T)
 
 
 def normal_form(n, s, metric=True):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from selfdual import charts as ch
 from selfdual import derham
@@ -134,8 +134,6 @@ def assert_config_error(capsys, argv):
     FM + ["--alpha", '{"terms": [{"axes": [1], "cos": NaN}]}'],
     FM + ["--alpha", '{"terms": [{"axes": [1], "freq": 2}]}'],
     FM + ["--alpha", '{"terms": [{"axes": [7]}]}'],
-    ["rep-check", "--n", "1", "--tol-identity", "nan"],
-    ["rep-check", "--n", "1", "--tol-identity", "inf"],
     ["skaid-check", "--N", "-1"],
     ["skaid-check", "--N", "0"],
     ["skaid-check", "--N", str(10**19)],
@@ -155,8 +153,8 @@ def assert_config_error(capsys, argv):
     [],
 ], ids=["mirror-nan", "mirror-inf", "pointwise-trials-0", "skaid-samples-0",
         "affine-points-0", "fm-below-nyquist", "fm-samples-0", "fm-nan-table",
-        "fm-freq-not-a-list", "fm-axis-outside", "tol-nan", "tol-inf",
-        "skaid-N--1", "skaid-N-0", "skaid-N-1e19", "affine-seed-1e11",
+        "fm-freq-not-a-list", "fm-axis-outside", "skaid-N--1", "skaid-N-0",
+        "skaid-N-1e19", "affine-seed-1e11",
         "mirror-missing-tau", "unknown-flag", "lower-half-plane",
         "moduli-ratio-overflow", "moduli-underflow",
         "fm-moduli-above-cap", "fm-j--1",
@@ -666,7 +664,10 @@ def chart_config():
         "seed": st.one_of(st.integers(-2, 200), number)}), scaled_quadratic)
 
 
-@settings(max_examples=150, deadline=None)
+# no shrink phase: a failing example is reported as found, in seconds
+# rather than minutes
+@settings(max_examples=150, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target])
 @given(chart_config())
 def test_affine_check_contract_holds_for_any_chart_config(tmp_path_factory,
                                                           cfg):

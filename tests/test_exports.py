@@ -1,11 +1,15 @@
 """Every name a module exports through __all__ resolves, so a deletion
-cannot leave a stale export behind; and the command line imports no
-heavy module it does not use."""
+cannot leave a stale export behind; the command line imports no heavy
+module it does not use; and every definition in the package is reached
+by a report or named with what reaches it."""
 
 import importlib
+import inspect
+import json
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -34,3 +38,97 @@ def test_cli_does_not_import_scipy_stats():
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# Every module-level function and every class with methods in src/selfdual
+# runs on some report's path; what no report reaches is named here with
+# what reaches it instead: an acceptance criterion, a demo, a test oracle
+# or a ROADMAP item. A new orphan fails the test, and so does an entry that
+# a report has come to reach.
+KEPT = {
+    "charts.random_convex_polynomial": "criterion 1: the random charts",
+    "elliptic.gh_scale_profile": "criterion 2: the collapse profile",
+    "polylinear.deform": "criterion 5: dual form under deformation",
+    "polylinear.dualizing_form": "criterion 5: witness independence",
+    "fiber_transform.transform_back": "criterion 7: the inverse transform",
+    "fiber_transform.full_transform": "demo 04",
+    "charts.fibre_product": "oracle for elliptic.build_X in test_elliptic::"
+                            "test_matches_flat_product_construction",
+    "charts.FlatKahlerFactor": "the factors of that fibre_product oracle",
+    "derham.laplacian_direct": "oracle for derham.laplacian in test_derham",
+    "exterior.wedge": "sign reference for liealg.L in test_liealg",
+    "exterior.contract": "sign reference for liealg.L in test_liealg",
+    "exterior.inner": "oracle for FourierForm.inner in test_derham and for "
+                      "the deformed metrics in test_polylinear",
+    "exterior.evaluate": "oracle for contract and form_to_matrix in "
+                         "test_exterior",
+    "liealg.trace_form": "ROADMAP item 8: the Howe-duality oracle",
+}
+
+REACH_LINES = [
+    ["all"],
+    ["verify-pointwise", "--n", "1", "--s", "1", "--trials", "1"],
+    ["affine-check", "--chart",
+     str(Path(__file__).parents[1] / "demos" / "charts" / "lse2d.cfg"),
+     "--points", "3"],
+    ["mirror", "--tau", "0+1i", "--t", "0+1i"],
+    ["rep-check", "--n", "0"],  # a configuration error: _Parser.error
+]
+
+
+def _code(obj):
+    # the function under a classmethod, staticmethod, property or cache
+    obj = getattr(obj, "__func__", getattr(obj, "fget", obj))
+    return getattr(inspect.unwrap(obj), "__code__", None)
+
+
+def _definitions():
+    """module.qualname of each module-level function, and of each class
+    with methods, written in the module's own file."""
+    out = set()
+    for module in MODULES[1:]:
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            codes = ([_code(v) for v in vars(obj).values()]
+                     if inspect.isclass(obj) else [_code(obj)])
+            if any(c is not None and c.co_filename == module.__file__
+                   for c in codes):
+                out.add(f"{module.__name__.rpartition('.')[2]}."
+                        f"{obj.__qualname__}")
+    return out
+
+
+# runs the command lines in a fresh interpreter, whose caches are empty,
+# and prints module.qualname of every package function that ran
+TRACE = """
+import contextlib, importlib, io, json, pkgutil, sys
+import selfdual
+from selfdual import cli
+files = {m.__file__: m.__name__.rpartition(".")[2]
+         for m in (importlib.import_module(f"selfdual.{info.name}")
+                   for info in pkgutil.iter_modules(selfdual.__path__))}
+ran = set()
+def tracer(frame, event, arg):
+    short = files.get(frame.f_code.co_filename)
+    if short is not None:
+        ran.add(f"{short}.{frame.f_code.co_qualname}")
+sys.settrace(tracer)
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        cli.main(argv)
+sys.settrace(None)
+print(json.dumps(sorted(ran)))
+"""
+
+
+def test_every_definition_is_reached_by_a_report_or_kept():
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACE, json.dumps(REACH_LINES)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    ran = json.loads(proc.stdout)
+    never = {name for name in _definitions()
+             if not any(r == name or r.startswith(name + ".") for r in ran)}
+    assert never == set(KEPT)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from selfdual import exterior as ext
-from selfdual.exterior import Multivector, wedge, contract, inner, pullback
+from selfdual.exterior import Multivector, wedge, contract, inner
 
 
 def bubble_sign(seq):
@@ -222,59 +222,6 @@ def test_metric_rule(g, fault):
         with pytest.raises((ValueError, ext.NotPositiveDefinite),
                            match=fault):
             inner(a, a, g)
-
-
-def test_inner_orthogonal_invariance():
-    rng = np.random.default_rng(6)
-    for _ in range(100):
-        q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
-        a = random_mv(rng, 6)
-        b = random_mv(rng, 6)
-        lhs = inner(pullback(q, a), pullback(q, b))
-        rhs = inner(a, b)
-        assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
-
-
-# ---------------------------------------------------------------------------
-# pullback
-
-
-def test_pullback_identity_and_homogeneity():
-    rng = np.random.default_rng(7)
-    a = random_mv(rng, 4)
-    assert (pullback(np.eye(4), a) - a).norm() < 1e-14
-    two = pullback(2 * np.eye(4), Multivector.basis(4, [0, 1]))
-    assert two.terms == {0b011: 4.0}
-
-
-def test_pullback_rotation_sends_dx1_to_dx2_up_to_sign():
-    M = np.eye(3)
-    M[:2, :2] = [[0.0, -1.0], [1.0, 0.0]]
-    out = pullback(M, Multivector.basis(3, [0]))
-    assert set(out.terms) == {0b010}
-    assert abs(abs(out.terms[0b010]) - 1.0) < 1e-14
-
-
-def test_pullback_is_composition_oracle():
-    rng = np.random.default_rng(8)
-    for _ in range(80):
-        M = rng.normal(size=(5, 5))
-        a = random_mv(rng, 5, nterms=4)
-        k = int(rng.integers(0, 4))
-        vs = [rng.normal(size=5) for _ in range(k)]
-        lhs = ext.evaluate(pullback(M, a).grade_part(k), vs)
-        rhs = ext.evaluate(a.grade_part(k), [M @ v for v in vs])
-        assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(rhs))
-
-
-def test_pullback_multiplicative_over_wedge():
-    rng = np.random.default_rng(9)
-    for _ in range(100):
-        M = rng.normal(size=(5, 5))
-        a = random_mv(rng, 5, nterms=3)
-        b = random_mv(rng, 5, nterms=3)
-        diff = pullback(M, wedge(a, b)) - wedge(pullback(M, a), pullback(M, b))
-        assert diff.norm() < 1e-9
 
 
 # ---------------------------------------------------------------------------

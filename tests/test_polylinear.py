@@ -1,8 +1,7 @@
 """Pointwise structure tests: normal forms, adapted metrics, deformations.
 
-Oracles: scipy Schur pairing for the single-form case, numpy matrix_rank
-for kernel dimensions, and an independent block-orthogonality check for
-the metric interpolation path.
+Oracles: scipy Schur pairing for the single-form case, and numpy
+matrix_rank for kernel dimensions.
 """
 
 import numpy as np
@@ -12,13 +11,11 @@ import scipy.linalg
 from selfdual import elliptic as el
 from selfdual import exterior as ext
 from selfdual import polylinear as pl
-from selfdual.exterior import Multivector, NotPositiveDefinite
+from selfdual.exterior import Multivector
 from selfdual.polylinear import (
-    Degenerate, GeometryError, NotCompatible, NotPolysymplectic,
-    PolyStructure, deform, dualizing_form, dualizing_form_from_basis,
-    interpolate_block_compatible, is_block_compatible, is_compatible, kernel,
-    metric_data, metric_from_data, normal_form, pulled_back, rotate_structure,
-    standard_basis,
+    Degenerate, NotCompatible, NotPolysymplectic, PolyStructure, deform,
+    dualizing_form, dualizing_form_from_basis, is_compatible, normal_form,
+    pulled_back, rotate_structure, standard_basis,
 )
 
 
@@ -49,14 +46,14 @@ def schur_pairing_oracle(A):
 
 def test_kernel_single_pair_form():
     om = Multivector.basis(3, [0, 1])
-    K = kernel(om)
+    K = pl._nullspace(ext.form_to_matrix(om))
     assert K.shape == (3, 1)
     assert abs(abs(K[2, 0]) - 1.0) < 1e-12
 
 
 def test_kernel_of_canonical_first_form():
     P = normal_form(2, 2)
-    K = kernel(ext.matrix_to_form(P.matrices[0]))
+    K = pl._nullspace(P.matrices[0])
     assert K.shape == (6, 2)
     # kernel of the first form is the second fibre block
     assert np.max(np.abs(K[:4, :])) < 1e-12
@@ -67,7 +64,7 @@ def test_kernel_dimension_matches_rank_oracle():
     for n, s in [(1, 2), (2, 2), (2, 3), (3, 2)]:
         P = pulled_back(normal_form(n, s), well_conditioned(rng, n * (s + 1)))
         for A in P.matrices:
-            K = kernel(A)
+            K = pl._nullspace(A)
             assert K.shape[1] == A.shape[0] - np.linalg.matrix_rank(A, tol=1e-8)
             assert K.shape[1] == n * (s - 1)
             assert np.max(np.abs(A @ K)) < 1e-8
@@ -165,7 +162,8 @@ def test_compatible_normal_form_euclidean():
 
 
 def test_incompatible_scaled_fibre_block():
-    P = normal_form(1, 2).with_metric(np.diag([1.0, 1.0, 4.0]))
+    P = PolyStructure(1, 2, normal_form(1, 2).matrices,
+                      np.diag([1.0, 1.0, 4.0]))
     res = is_compatible(P)
     assert not res.compatible
 
@@ -198,7 +196,6 @@ def test_decisions_hold_at_every_scale_of_the_mirror_metric(s):
     D = dualizing_form(P)
     assert list(D.terms) == [0b110]
     assert abs(D.coeff([1, 2]) - 1.0) < 1e-14
-    assert is_block_compatible(P.metric, P)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +229,8 @@ def test_dualizing_form_witness_independence():
 
 
 def test_dualizing_form_requires_compatibility():
-    P = normal_form(1, 2).with_metric(np.diag([1.0, 1.0, 4.0]))
+    P = PolyStructure(1, 2, normal_form(1, 2).matrices,
+                      np.diag([1.0, 1.0, 4.0]))
     with pytest.raises(NotCompatible):
         dualizing_form(P)
     with pytest.raises(ValueError):
@@ -327,130 +325,7 @@ def test_double_rotation_recovers_triple_up_to_sign():
 
 
 def test_rotate_requires_compatible_metric():
-    P = normal_form(1, 2).with_metric(np.diag([1.0, 1.0, 4.0]))
+    P = PolyStructure(1, 2, normal_form(1, 2).matrices,
+                      np.diag([1.0, 1.0, 4.0]))
     with pytest.raises(NotCompatible):
         rotate_structure(P, "D1")
-
-
-# ---------------------------------------------------------------------------
-# interpolate_block_compatible
-
-
-def block_test_oracle(g, P):
-    # independent implementation, deliberately not sharing code paths
-    Fj = P.kernel_blocks()
-    for j in range(P.s):
-        for k in range(P.s):
-            if j != k and np.max(np.abs(Fj[j].T @ g @ Fj[k])) > 1e-8:
-                return False
-    F = np.hstack(Fj)
-    q, _ = np.linalg.qr(np.linalg.solve(g, np.linalg.qr(F)[0]))
-    # complement = g^-1 applied to an orthogonal complement basis of F
-    full = np.linalg.svd(F.T)[2][P.n * P.s:].T
-    W = np.linalg.solve(g, full)
-    for A in P.matrices:
-        if np.max(np.abs(W.T @ A @ W)) > 1e-8:
-            return False
-    return True
-
-
-def test_interpolate_endpoints_and_midpoint():
-    P = normal_form(2, 2, metric=False)
-    g1 = np.diag([2.0, 3.0, 1.0, 1.5, 0.5, 1.0])
-    g2 = np.diag([1.0, 1.0, 1.0, 1.5, 0.5, 1.0])
-    assert is_block_compatible(g1, P) and block_test_oracle(g1, P)
-    assert is_block_compatible(g2, P) and block_test_oracle(g2, P)
-    np.testing.assert_allclose(interpolate_block_compatible(g1, g2, P, 1.0), g1)
-    np.testing.assert_allclose(interpolate_block_compatible(g1, g2, P, 0.0), g2)
-    mid = interpolate_block_compatible(g1, g2, P, 0.5)
-    assert is_block_compatible(mid, P) and block_test_oracle(mid, P)
-
-
-def test_interpolate_rejects_disagreement_on_kernel_sum():
-    P = normal_form(1, 2, metric=False)
-    g1 = np.diag([1.0, 2.0, 1.0])
-    g2 = np.diag([1.0, 3.0, 1.0])
-    with pytest.raises(GeometryError):
-        interpolate_block_compatible(g1, g2, P, 0.5)
-
-
-def test_interpolate_rejects_non_block_compatible():
-    P = normal_form(1, 2, metric=False)
-    g1 = np.eye(3)
-    g1[1, 2] = g1[2, 1] = 0.5  # couples the two fibre blocks
-    with pytest.raises(GeometryError):
-        interpolate_block_compatible(g1, np.eye(3), P, 0.5)
-
-
-@pytest.mark.parametrize("c", [1e-12, 1e-100])
-def test_block_decisions_are_scale_free(c):
-    P = normal_form(1, 2, metric=False)
-    coupled = np.eye(3)
-    coupled[1, 2] = coupled[2, 1] = 0.5  # couples the two fibre blocks
-    assert is_block_compatible(c * np.eye(3), P)
-    assert not is_block_compatible(c * coupled, P)
-    with pytest.raises(GeometryError, match="disagree"):
-        interpolate_block_compatible(c * np.diag([1.0, 2.0, 1.0]),
-                                     c * np.diag([1.0, 3.0, 1.0]), P, 0.5)
-    # span(x1, x2 + y1_1) is not isotropic for omega_1, at any form scale
-    Q = PolyStructure(2, 2, [c * A for A in normal_form(2, 2).matrices])
-    W = np.zeros((6, 2))
-    W[0, 0] = W[1, 1] = W[2, 1] = 1.0
-    with pytest.raises(GeometryError, match="not isotropic"):
-        metric_from_data(np.eye(6), W, Q)
-
-
-def test_interpolate_parameter_range():
-    P = normal_form(1, 2, metric=False)
-    with pytest.raises(ValueError):
-        interpolate_block_compatible(np.eye(3), np.eye(3), P, 1.5)
-
-
-# ---------------------------------------------------------------------------
-# metric_from_data
-
-
-def test_metric_from_data_trivial():
-    P = normal_form(1, 2, metric=False)
-    W = np.array([[1.0], [0.0], [0.0]])
-    g = metric_from_data(np.eye(3), W, P)
-    np.testing.assert_allclose(g, np.eye(3), atol=1e-12)
-
-
-def test_metric_from_data_round_trip():
-    rng = np.random.default_rng(20)
-    for n in (1, 2, 3):
-        P = pulled_back(normal_form(n, 2), well_conditioned(rng, 3 * n))
-        g1, W = metric_data(P)
-        rebuilt = metric_from_data(g1, W, P)
-        assert np.max(np.abs(rebuilt - P.metric)) < 1e-10 * max(
-            1.0, np.max(np.abs(P.metric)))
-
-
-@pytest.mark.parametrize("c", [1e-12, 1e12])
-def test_metric_from_data_ignores_the_scale_of_the_complement_basis(c):
-    P = pulled_back(normal_form(2, 2),
-                    well_conditioned(np.random.default_rng(20), 6))
-    g1, W = metric_data(P)
-    np.testing.assert_allclose(metric_from_data(g1, c * W, P), P.metric,
-                               atol=1e-10)
-    # span(x1, x2 + y1_1) is complementary but not isotropic for omega_1
-    Q = normal_form(2, 2, metric=False)
-    W = np.zeros((6, 2))
-    W[0, 0] = W[1, 1] = W[2, 1] = 1.0
-    with pytest.raises(GeometryError, match="not isotropic"):
-        metric_from_data(np.eye(6), c * W, Q)
-
-
-def test_metric_from_data_rejects_degenerate_datum():
-    P = normal_form(1, 2, metric=False)
-    W = np.array([[1.0], [0.0], [0.0]])
-    with pytest.raises(NotPositiveDefinite):
-        metric_from_data(np.zeros((3, 3)), W, P)
-
-
-def test_metric_from_data_rejects_non_complementary_subspace():
-    P = normal_form(1, 2, metric=False)
-    W = np.array([[0.0], [1.0], [0.0]])  # lies inside the kernel sum
-    with pytest.raises(GeometryError):
-        metric_from_data(np.eye(3), W, P)
