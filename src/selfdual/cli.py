@@ -182,7 +182,7 @@ def suite_fm(tau, t, alpha, j, samples):
     _, X = el.build_X(p)
     form = _parse_alpha(alpha, p.tau2)
     # the trapezoid rule over the fibre is exact only below Nyquist
-    fibre_freq = max((abs(k[1]) for k in form.terms), default=0)
+    fibre_freq = max((abs(k[1]) for k in form.freqs), default=0)
     if samples <= fibre_freq:
         raise ConfigError(f"samples must exceed the input's largest fibre "
                           f"frequency {fibre_freq}")

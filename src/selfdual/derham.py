@@ -3,7 +3,10 @@
 A form on the torus with periods P carries finitely many frequency
 modes k; per axis set, a mode holds the raw coefficients (a, b) of
 a cos(2 pi k.x/P) + b sin(2 pi k.x/P). Modes are stored with the first
-nonzero entry of k positive; k = 0 keeps its constant part only.
+nonzero entry of k positive; k = 0 keeps its constant part only. Each
+mode is one row of two dense arrays over the 2**dim axis masks, so d,
+the codifferential and the constant operators act on all modes and
+masks of a form in a few array operations.
 
 `inner` is the L2 product, the mean over the torus of the pointwise
 coefficient dot product: weight 1 on k = 0 and 1/2 on every other mode.
@@ -11,8 +14,10 @@ d and the codifferential keep k, so they stay adjoint under it. The
 constant operator algebra acts pointwise, mode by mode, which is what
 makes the commutation identities checkable here. Products, the pull-back
 along a circle projection and fibre integration over a circle serve the
-fibrewise transform.
+fibrewise transform; they read the forms through `terms`.
 """
+
+import functools
 
 import numpy as np
 
@@ -41,14 +46,21 @@ def _add(table, k, mask, a, b):
 
 
 class FourierForm:
-    """terms: {frequency tuple: {axis mask: (cos coeff, sin coeff)}}.
+    """Rows of coefficients, one per frequency mode.
 
-    A coefficient is a (cos, sin) tuple or a bare number for a pure cos
-    term. The constructor accepts any frequency sign and both k and -k;
-    it canonicalizes, sums and drops a (cos, sin) pair only when both
-    are exactly zero, so a NaN or a coefficient of any size is kept.
-    periods defaults to the unit torus. note carries flags raised while
-    producing the form (degree clipping in the fibre transform).
+    freqs holds the canonical modes in the order they first appear;
+    cos[i] and sin[i] are the dense rows of mode freqs[i] over all
+    2**dim axis masks (the two halves of one (2, modes, 2**dim) array).
+    A row goes only when all its entries are exactly zero, so a NaN or
+    a coefficient of any size is kept. `terms` reads the rows back as
+    {frequency tuple: {axis mask: (cos coeff, sin coeff)}}, holding the
+    pairs that are not both zero.
+
+    The constructor takes that dict layout, with any frequency sign and
+    both k and -k; a coefficient is a (cos, sin) tuple or a bare number
+    for a pure cos term. periods defaults to the unit torus. note
+    carries flags raised while producing the form (degree clipping in
+    the fibre transform).
     """
 
     def __init__(self, dim, terms=None, periods=None):
@@ -73,10 +85,34 @@ class FourierForm:
                 a, b = ab if isinstance(ab, tuple) else (ab, 0.0)
                 old = slot.get(mask, (0.0, 0.0))
                 slot[mask] = (old[0] + float(a), old[1] + flip * float(b))
-        self.terms = {
-            k: kept for k, masks in table.items()
-            if (kept := {m: ab for m, ab in masks.items() if ab[0] or ab[1]})
-        }
+        rows = np.zeros((2, len(table), 1 << dim))
+        for i, masks in enumerate(table.values()):
+            for mask, (a, b) in masks.items():
+                rows[:, i, mask] = a, b
+        self._set_rows(tuple(table), rows)
+
+    def _set_rows(self, freqs, rows):
+        keep = (rows != 0).any(axis=(0, 2)).tolist()
+        if not all(keep):
+            freqs = tuple(k for k, kept in zip(freqs, keep) if kept)
+            rows = rows[:, keep]
+        self.freqs, self._rows = freqs, rows
+        self.cos, self.sin = rows
+
+    def _with_rows(self, freqs, rows):
+        """A form on this carrier with the given modes and rows."""
+        out = object.__new__(FourierForm)
+        out.dim, out.periods, out.note = self.dim, self.periods, None
+        out._set_rows(freqs, rows)
+        return out
+
+    @property
+    def terms(self):
+        """The pairs that are not both zero, as a new dict of dicts."""
+        kept = (self._rows != 0).any(axis=0)
+        return {k: {m: (a[m], b[m]) for m in np.flatnonzero(row).tolist()}
+                for k, a, b, row in zip(self.freqs, self.cos.tolist(),
+                                        self.sin.tolist(), kept)}
 
     @classmethod
     def constant(cls, dim, coeffs, periods=None):
@@ -116,8 +152,8 @@ class FourierForm:
         return cls(dim, table)
 
     def grades(self):
-        return sorted({m.bit_count() for masks in self.terms.values()
-                       for m in masks})
+        masks = np.flatnonzero((self._rows != 0).any(axis=(0, 1)))
+        return sorted({m.bit_count() for m in masks.tolist()})
 
     def _check_carrier(self, other):
         if self.dim != other.dim or self.periods != other.periods:
@@ -126,17 +162,18 @@ class FourierForm:
     def inner(self, other):
         """L2 product: weight 1 on k = 0 and 1/2 on every other mode."""
         self._check_carrier(other)
-        tot = 0.0
-        for k, masks in self.terms.items():
-            omasks = other.terms.get(k)
-            if not omasks:
-                continue
-            part = 0.0
-            for mask, (a, b) in masks.items():
-                oa, ob = omasks.get(mask, (0.0, 0.0))
-                part += a * oa + b * ob
-            tot += 0.5 * part if any(k) else part
-        return tot
+        if self.freqs == other.freqs:
+            freqs, mine, theirs = self.freqs, self._rows, other._rows
+        else:
+            row = {k: i for i, k in enumerate(other.freqs)}
+            shared = [(i, row[k]) for i, k in enumerate(self.freqs)
+                      if k in row]
+            freqs = [self.freqs[i] for i, _ in shared]
+            mine = self._rows[:, [i for i, _ in shared]]
+            theirs = other._rows[:, [j for _, j in shared]]
+        parts = (mine * theirs).sum(axis=0).sum(axis=1)
+        weights = [0.5 if any(k) else 1.0 for k in freqs]
+        return float(np.dot(weights, parts))
 
     def norm(self):
         return float(np.sqrt(self.inner(self)))
@@ -154,20 +191,21 @@ class FourierForm:
 
     def __add__(self, other):
         self._check_carrier(other)
-        table = {k: dict(masks) for k, masks in self.terms.items()}
-        for k, masks in other.terms.items():
-            for mask, (a, b) in masks.items():
-                _add(table, k, mask, a, b)
-        return FourierForm(self.dim, table, self.periods)
+        if self.freqs == other.freqs:
+            return self._with_rows(self.freqs, self._rows + other._rows)
+        known = set(self.freqs)
+        freqs = self.freqs + tuple(k for k in other.freqs if k not in known)
+        row = {k: i for i, k in enumerate(freqs)}
+        rows = np.zeros((2, len(freqs), 1 << self.dim))
+        rows[:, :len(self.freqs)] = self._rows
+        rows[:, [row[k] for k in other.freqs]] += other._rows
+        return self._with_rows(freqs, rows)
 
     def __sub__(self, other):
         return self + (-1.0) * other
 
     def __rmul__(self, c):
-        c = float(c)
-        return FourierForm(self.dim, {
-            k: {m: (c * a, c * b) for m, (a, b) in masks.items()}
-            for k, masks in self.terms.items()}, self.periods)
+        return self._with_rows(self.freqs, float(c) * self._rows)
 
     def coefficient_table(self):
         """JSON-ready listing of all modes, by axis set, then frequency."""
@@ -177,7 +215,7 @@ class FourierForm:
                  "cos": a, "sin": b} for mask, k, a, b in rows]
 
     def __repr__(self):
-        count = sum(map(len, self.terms.values()))
+        count = np.count_nonzero((self._rows != 0).any(axis=0))
         return f"FourierForm(dim={self.dim}, terms={count})"
 
 
@@ -187,27 +225,55 @@ def _wavenumbers(F):
     return [TWO_PI / p for p in F.periods]
 
 
+@functools.lru_cache(maxsize=16)
+def _axis_table(dim, axis_op):
+    """(source, sign), each of shape (dim, 2**dim), with
+    axis_op(source[j, m], j) = (m, sign[j, m]); a mask m that no mask
+    reaches along axis j reads source 2**dim and sign 0.
+
+    Cached per axis map, so a replaced exterior kernel gets its own table.
+    """
+    size = 1 << dim
+    source = np.full((dim, size), size)
+    sign = np.zeros((dim, size))
+    for j in range(dim):
+        for mask in range(size):
+            hit = axis_op(mask, j)
+            if hit is None:
+                continue
+            target, s = hit
+            if source[j, target] != size:
+                raise ValueError(f"{axis_op.__name__} is not one-to-one")
+            source[j, target], sign[j, target] = mask, s
+    source.flags.writeable = sign.flags.writeable = False
+    return source, sign
+
+
 def _first_order(F, axis_op, sign):
     """sign * sum_j axis_op(., j) of the derivative along axis j, where
-    axis_op is exterior.wedge_axis (d) or exterior.contract_axis."""
-    scale = _wavenumbers(F)
-    table = {}
-    for k, masks in F.terms.items():
-        slot = table[k] = {}
-        for j, kj in enumerate(k):
-            if not kj:
-                continue
-            factor = scale[j] * kj
-            for mask, (a, b) in masks.items():
-                hit = axis_op(mask, j)
-                if hit is None:
-                    continue
-                m2, s = hit
-                s *= sign
-                old = slot.get(m2, (0.0, 0.0))
-                slot[m2] = (old[0] + s * factor * b,
-                            old[1] - s * factor * a)
-    return FourierForm(F.dim, table, F.periods)
+    axis_op is exterior.wedge_axis (d) or exterior.contract_axis.
+
+    One gather reads, per axis, each output entry's source entry from
+    the rows padded by a zero column. An axis with k_j = 0, or one that
+    reaches no source, reads that zero column, so an inf or NaN
+    coefficient meets no zero factor; the sum runs in axis order, as a
+    loop over the modes would take it.
+    """
+    size, modes = 1 << F.dim, len(F.freqs)
+    source, signs = _axis_table(F.dim, axis_op)
+    k = np.array(F.freqs, dtype=int).reshape(modes, F.dim).T
+    start = (size + 1) * np.arange(modes)
+    index = np.where(k[:, :, None] != 0, source[:, None] + start[:, None],
+                     size)
+    weight = (sign * signs[:, None]) * (
+        np.array(_wavenumbers(F))[:, None] * k)[:, :, None]
+    # the derivative of a cos + b sin is b cos - a sin: the sin rows
+    # gather into cos, the cos rows into sin, negated after the sum
+    padded = np.zeros((2, modes, size + 1))
+    padded[:, :, :size] = F._rows[::-1]
+    rows = (padded.reshape(2, -1).take(index, axis=1) * weight).sum(axis=1)
+    rows[1] *= -1.0
+    return F._with_rows(F.freqs, rows)
 
 
 def d(F):
@@ -238,20 +304,12 @@ def laplacian_direct(F):
 
 
 def apply_operator(M, F):
-    """A constant operator on the exterior fibre, acting pointwise."""
+    """A constant operator on the exterior fibre, acting pointwise: the
+    cos and sin rows of every mode times M^T."""
     dim_fibre = 1 << F.dim
     if M.shape != (dim_fibre, dim_fibre):
         raise ValueError("operator does not match the exterior fibre")
-    table = {}
-    for k, masks in F.terms.items():
-        va = np.zeros(dim_fibre)
-        vb = np.zeros(dim_fibre)
-        for mask, (a, b) in masks.items():
-            va[mask], vb[mask] = a, b
-        wa, wb = (M @ va).tolist(), (M @ vb).tolist()
-        table[k] = {m: ab for m, ab in enumerate(zip(wa, wb))
-                    if ab[0] or ab[1]}
-    return FourierForm(F.dim, table, F.periods)
+    return F._with_rows(F.freqs, F._rows @ M.T)
 
 
 def dc(M, F):
@@ -376,8 +434,8 @@ def harmonic_action(n, alpha, beta):
     for col in range(fibre):
         F = FourierForm(dim, {k0: {col: (1.0, 0.0)}})
         G = apply_operator(M, F)
-        if laplacian(G).terms:
+        if laplacian(G).freqs:
             raise AssertionError("harmonic subspace was not preserved")
-        for mask, (a, _) in G.terms.get(k0, {}).items():
-            out[mask, col] = a
+        if G.freqs:
+            out[:, col] = G.cos[0]
     return out

@@ -257,6 +257,16 @@ def _check_metric(g, dim):
     return g
 
 
+def _minor(A, rows, cols):
+    """det A[rows, cols]; sizes 0 and 1 exactly, where np.linalg.det
+    misses even a 1 x 1 entry by an ulp."""
+    if len(rows) == 0:
+        return 1.0
+    if len(rows) == 1:
+        return float(A[rows[0], cols[0]])
+    return float(np.linalg.det(A[np.ix_(rows, cols)]))
+
+
 def inner(a, b, g=None):
     """Inner product on the exterior algebra induced by the pairing g.
 
@@ -276,11 +286,7 @@ def inner(a, b, g=None):
         for mb, cb in b.terms.items():
             if mb.bit_count() != k:
                 continue
-            cols = mask_axes(mb)
-            if k == 0:
-                total += ca * cb
-            else:
-                total += ca * cb * float(np.linalg.det(g[np.ix_(rows, cols)]))
+            total += ca * cb * _minor(g, rows, mask_axes(mb))
     return total
 
 
@@ -317,5 +323,5 @@ def evaluate(a, vectors):
         rows = mask_axes(m)
         if len(rows) != k:
             continue
-        total += c * (float(np.linalg.det(V[rows, :])) if k else 1.0)
+        total += c * _minor(V, rows, range(k))
     return total

@@ -62,6 +62,7 @@ KEPT = {
                       "the deformed metrics in test_polylinear",
     "exterior.evaluate": "oracle for contract and form_to_matrix in "
                          "test_exterior",
+    "exterior._minor": "the minors of exterior.inner and exterior.evaluate",
     "liealg.trace_form": "ROADMAP item 8: the Howe-duality oracle",
 }
 

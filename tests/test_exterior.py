@@ -200,6 +200,17 @@ def test_inner_rejects_asymmetric_metric_at_any_scale(c):
     assert inner(a, a, g) == pytest.approx(c, rel=1e-12)
 
 
+@pytest.mark.parametrize("c", [3.0, 1e-300])
+def test_minors_of_size_zero_and_one_are_exact(c):
+    # np.linalg.det misses both: det([[3.0]]) = 3.0000000000000004
+    e0 = Multivector.basis(3, [0])
+    assert inner(e0, e0, c * np.eye(3)) == c
+    assert inner(Multivector.scalar(3, c), Multivector.scalar(3, 1.0),
+                 np.eye(3)) == c
+    assert ext.evaluate(e0, [np.array([c, 2.0, 5.0])]) == c
+    assert ext.evaluate(Multivector.scalar(3, c), []) == c
+
+
 # the one metric rule: square, finite, symmetric to 1e-12 of the largest
 # entry, Cholesky-factorable
 @pytest.mark.parametrize("g,fault", [

@@ -58,6 +58,14 @@ def flipped_wedge(wedge_axis):
     return faulty
 
 
+def flipped_contract(contract_axis):
+    """The contraction sign flipped whenever an axis is left after it."""
+    def faulty(mask, a):
+        hit = contract_axis(mask, a)
+        return hit if hit is None or not hit[0] else (hit[0], -hit[1])
+    return faulty
+
+
 FAULTS = {
     "build_X-theta-1-shift": (
         el, "build_X", shifted_angle,
@@ -68,6 +76,12 @@ FAULTS = {
         {"bracket-family-1", "bracket-family-2", "bracket-family-3"}),
     "wedge_axis-sign": (
         ext, "wedge_axis", flipped_wedge,
+        ["skaid-check", "--n", "1", "--N", "2", "--samples", "3"],
+        WL.SKAID_IDS, {"identity-2", "identity-3", "identity-4"}),
+    # the codifferential reads the kernel through a table cached per
+    # kernel function, which this row would miss if it were cached per dim
+    "contract_axis-sign": (
+        ext, "contract_axis", flipped_contract,
         ["skaid-check", "--n", "1", "--N", "2", "--samples", "3"],
         WL.SKAID_IDS, {"identity-2", "identity-3", "identity-4"}),
 }
