@@ -3,15 +3,17 @@ models, and the verification suites built on them.
 
 Submodules
 ----------
-exterior        sparse multivectors, wedge, contraction, metrics
+exterior        sparse multivectors, wedge, contraction, metrics, and
+                the signed axis tables every fibre operator is built from
 jets            truncated power series for derivatives of field data
 polylinear      pointwise structures, normal forms, compatibility
 charts          potential charts and the field-level constructions
 elliptic        the three-torus family, invariants, mirror recovery
-fiber_transform fibrewise integral transform between the two quotients
+fiber_transform fibrewise integral transform between the two quotients,
+                one matrix per grade
 liealg          pairing operators, bracket identities, closure
 derham          trig-polynomial forms on flat tori: d, codifferential,
-                wedge, fibre integration, commutation checks
+                commutation checks
 report          JSON check records shared by the command line driver
 
 The command line driver lives in selfdual.cli and is installed as the

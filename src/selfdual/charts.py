@@ -507,15 +507,17 @@ def fibre_volume_product(g):
     """vol of the unit quotient times vol of its metric-dual quotient.
 
     The dual factor is computed from the dual lattice basis directly, not
-    as a reciprocal, so the product genuinely tests the pairing.
+    as a reciprocal, so the product genuinely tests the pairing. Both
+    volumes are taken as log-determinants, so neither factor overflows
+    or underflows where the product is of unit size.
     """
     g = np.asarray(g, dtype=float)
     ext._check_metric(g, g.shape[0])
-    vol = float(np.sqrt(np.linalg.det(g)))
     dual_basis = np.linalg.inv(g)  # columns pair to delta under g
     dual_gram = dual_basis.T @ g @ dual_basis
-    dual_vol = float(np.sqrt(np.linalg.det(dual_gram)))
-    return vol * dual_vol
+    (sign, log_det), (dual_sign, dual_log_det) = (
+        np.linalg.slogdet(g), np.linalg.slogdet(dual_gram))
+    return float(sign * dual_sign * np.exp(0.5 * (log_det + dual_log_det)))
 
 
 def covariant_constancy(F, p):

@@ -10,14 +10,11 @@ masks of a form in a few array operations.
 
 `inner` is the L2 product, the mean over the torus of the pointwise
 coefficient dot product: weight 1 on k = 0 and 1/2 on every other mode.
-d and the codifferential keep k, so they stay adjoint under it. The
+d and the codifferential keep k, so they stay adjoint under it; both
+are gathered from the signed axis tables of `exterior.axis_table`. The
 constant operator algebra acts pointwise, mode by mode, which is what
-makes the commutation identities checkable here. Products, the pull-back
-along a circle projection and fibre integration over a circle serve the
-fibrewise transform; they read the forms through `terms`.
+makes the commutation identities checkable here.
 """
-
-import functools
 
 import numpy as np
 
@@ -37,12 +34,6 @@ def _canonical(k):
         if entry < 0:
             return tuple(-x for x in k), -1.0
     return k, 0.0
-
-
-def _add(table, k, mask, a, b):
-    slot = table.setdefault(k, {})
-    old = slot.get(mask, (0.0, 0.0))
-    slot[mask] = (old[0] + a, old[1] + b)
 
 
 class FourierForm:
@@ -118,10 +109,6 @@ class FourierForm:
     def constant(cls, dim, coeffs, periods=None):
         """coeffs: {mask: value} with constant coefficients."""
         return cls(dim, {(0,) * dim: coeffs}, periods)
-
-    @classmethod
-    def from_multivector(cls, mv, periods=None):
-        return cls.constant(mv.dim, mv.terms, periods)
 
     @classmethod
     def from_table(cls, dim, rows, periods=None):
@@ -225,30 +212,6 @@ def _wavenumbers(F):
     return [TWO_PI / p for p in F.periods]
 
 
-@functools.lru_cache(maxsize=16)
-def _axis_table(dim, axis_op):
-    """(source, sign), each of shape (dim, 2**dim), with
-    axis_op(source[j, m], j) = (m, sign[j, m]); a mask m that no mask
-    reaches along axis j reads source 2**dim and sign 0.
-
-    Cached per axis map, so a replaced exterior kernel gets its own table.
-    """
-    size = 1 << dim
-    source = np.full((dim, size), size)
-    sign = np.zeros((dim, size))
-    for j in range(dim):
-        for mask in range(size):
-            hit = axis_op(mask, j)
-            if hit is None:
-                continue
-            target, s = hit
-            if source[j, target] != size:
-                raise ValueError(f"{axis_op.__name__} is not one-to-one")
-            source[j, target], sign[j, target] = mask, s
-    source.flags.writeable = sign.flags.writeable = False
-    return source, sign
-
-
 def _first_order(F, axis_op, sign):
     """sign * sum_j axis_op(., j) of the derivative along axis j, where
     axis_op is exterior.wedge_axis (d) or exterior.contract_axis.
@@ -260,7 +223,7 @@ def _first_order(F, axis_op, sign):
     loop over the modes would take it.
     """
     size, modes = 1 << F.dim, len(F.freqs)
-    source, signs = _axis_table(F.dim, axis_op)
+    source, signs = ext.axis_table(F.dim, axis_op)
     k = np.array(F.freqs, dtype=int).reshape(modes, F.dim).T
     start = (size + 1) * np.arange(modes)
     index = np.where(k[:, :, None] != 0, source[:, None] + start[:, None],
@@ -316,67 +279,6 @@ def dc(M, F):
     """The twisted differential [M, d*] applied to F."""
     return apply_operator(M, codifferential(F)) - codifferential(
         apply_operator(M, F))
-
-
-def wedge(F, G):
-    """Exterior product: coefficients multiply by the product-to-sum
-    rules into the modes k1 + k2 and k1 - k2; signs follow
-    exterior.wedge_sign."""
-    F._check_carrier(G)
-    table = {}
-    for k1, masks1 in F.terms.items():
-        for k2, masks2 in G.terms.items():
-            k_sum = tuple(x + y for x, y in zip(k1, k2))
-            k_diff = tuple(x - y for x, y in zip(k1, k2))
-            for ma, (a1, b1) in masks1.items():
-                for mb, (a2, b2) in masks2.items():
-                    if ma & mb:
-                        continue
-                    h = 0.5 * ext.wedge_sign(ma, mb)
-                    _add(table, k_sum, ma | mb,
-                         h * (a1 * a2 - b1 * b2), h * (a1 * b2 + b1 * a2))
-                    _add(table, k_diff, ma | mb,
-                         h * (a1 * a2 + b1 * b2), h * (b1 * a2 - a1 * b2))
-    return FourierForm(F.dim, table, F.periods)
-
-
-def pull_back(F, axis, period):
-    """Pull F back along the projection forgetting a new axis, inserted at
-    position `axis` with the given period; the result is constant
-    along it."""
-    low = (1 << axis) - 1
-    table = {k[:axis] + (0,) + k[axis:]:
-             {(m & low) | ((m & ~low) << 1): ab for m, ab in masks.items()}
-             for k, masks in F.terms.items()}
-    periods = F.periods[:axis] + (period,) + F.periods[axis:]
-    return FourierForm(F.dim + 1, table, periods)
-
-
-def fibre_integrate(F, axis, length, samples):
-    """Push F down along the circle `axis` of the given length.
-
-    Contracts the circle's tangent into the first slot (sign from
-    exterior.contract_axis), then averages over `samples` points with
-    the trapezoid rule, taken exactly: per mode of fibre frequency f the
-    M-point means of cos and sin are 1 and 0 if M divides f, else 0 and
-    0, so below Nyquist no roundoff times `length` enters. The result
-    lives on the remaining axes, in their order.
-    """
-    low = (1 << axis) - 1
-    table = {}
-    for k, masks in F.terms.items():
-        if k[axis] % samples:
-            continue
-        k_new = k[:axis] + k[axis + 1:]
-        for mask, (a, b) in masks.items():
-            hit = ext.contract_axis(mask, axis)
-            if hit is None:
-                continue
-            m2, sign = hit
-            _add(table, k_new, (m2 & low) | ((m2 >> 1) & ~low),
-                 length * sign * a, length * sign * b)
-    periods = F.periods[:axis] + F.periods[axis + 1:]
-    return FourierForm(F.dim - 1, table, periods)
 
 
 UNBARRED_PAIRS = ((0, 1), (0, 2), (1, 2))

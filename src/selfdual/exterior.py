@@ -9,7 +9,9 @@ i.e. one horizontal block followed by s fibre blocks.  A basis k-form is a
 set of axes encoded as a bitmask over the d positions; a Multivector is a
 sparse map from bitmask to float64 coefficient, expressed in the
 increasing-axis-order basis.  Every sign in the package derives from this
-single ordering.
+single ordering, through the one-axis kernels wedge_axis and
+contract_axis; axis_table turns a kernel into the signed arrays from
+which liealg, derham and fiber_transform build their operators.
 
 A coefficient is dropped on construction only when it is exactly zero,
 so a coefficient of any size, and a NaN, is kept.
@@ -18,6 +20,8 @@ objects.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -85,6 +89,32 @@ def contract_axis(mask, a):
         return None
     sign = -1 if (mask & (bit - 1)).bit_count() & 1 else 1
     return mask & ~bit, sign
+
+
+@functools.lru_cache(maxsize=16)
+def axis_table(dim, axis_op):
+    """(source, sign), each of shape (dim, 2**dim), with
+    axis_op(source[j, m], j) = (m, sign[j, m]); a mask m that no mask
+    reaches along axis j reads source 2**dim and sign 0.
+
+    The one step from a one-axis kernel (wedge_axis, contract_axis) to
+    arrays: every operator on the exterior fibre is gathered from it.
+    Cached per axis map, so a replaced kernel gets its own table.
+    """
+    size = 1 << dim
+    source = np.full((dim, size), size)
+    sign = np.zeros((dim, size))
+    for j in range(dim):
+        for mask in range(size):
+            hit = axis_op(mask, j)
+            if hit is None:
+                continue
+            target, s = hit
+            if source[j, target] != size:
+                raise ValueError(f"{axis_op.__name__} is not one-to-one")
+            source[j, target], sign[j, target] = mask, s
+    source.flags.writeable = sign.flags.writeable = False
+    return source, sign
 
 
 class Multivector:

@@ -3,8 +3,12 @@
 Forms are derham.FourierForm trigonometric polynomials on flat tori.
 The transform pulls the input back to the total space, wedges it with a
 power of the dual pairing form and integrates over the complementary
-fibre against its Riemannian length, sampling with the trapezoid rule
-(exact below the Nyquist frequency).
+fibre against its Riemannian length. Each step is a constant map of the
+exterior fibre, read from `exterior.axis_table`, so graded piece j is
+one matrix T_j on the four coefficients of a mode (README, Conventions).
+The trapezoid rule over `samples` fibre points is taken exactly: it
+keeps the modes whose fibre frequency `samples` divides, at frequency
+(k_x, 0), and averages every other mode out.
 
 Conventions, fixed once for the whole module:
   - total-space axis order (x, y1, y2), quotient axis orders (x, y1) and
@@ -17,16 +21,43 @@ The overall sign of the transform is whatever these choices produce;
 tests pin the resulting values.
 """
 
-from . import derham
+import numpy as np
+
+from . import exterior as ext
 from .derham import FourierForm
 
+DIM = 3  # the total space (x, y1, y2)
+SIZE = 1 << DIM
 
-def _dual_power(OD, j, periods):
-    P = FourierForm.constant(3, {0: 1.0}, periods)
-    D = FourierForm.from_multivector(OD, periods)
-    for _ in range(min(j, P.dim)):  # powers past the dimension vanish
-        P = derham.wedge(P, D)
-    return P
+
+def _axis_matrix(axis_op, axis):
+    """The one-axis map of axis_op on the total space's exterior fibre."""
+    source, sign = ext.axis_table(DIM, axis_op)
+    M = np.zeros((SIZE, SIZE))
+    reached = np.flatnonzero(source[axis] < SIZE)
+    M[reached, source[axis, reached]] = sign[axis, reached]
+    return M
+
+
+def _graded_matrix(X, j, fibre_axis, kept_axis):
+    """T_j = ell S_out C W^j S_in^T: S_in inserts the kept circle's bit,
+    W wedges with the dual form, whose term e_a1^...^e_ak acts as the
+    one-axis wedges W_a1 ... W_ak, C contracts the fibre tangent and
+    S_out drops the fibre bit; ell is the fibre circle's length."""
+    wedge_dual = np.zeros((SIZE, SIZE))
+    for mask, c in X.flat_dual.terms.items():
+        term = c * np.eye(SIZE)
+        for a in ext.mask_axes(mask):
+            term = term @ _axis_matrix(ext.wedge_axis, a)
+        wedge_dual += term
+    M = _axis_matrix(ext.contract_axis, fibre_axis)
+    for _ in range(min(j, DIM)):  # powers past the dimension vanish
+        M = M @ wedge_dual
+    # S_out and S_in^T pick the rows free of the fibre bit and the
+    # columns free of the kept bit; quotient mask m is the m-th of each
+    free = ([m for m in range(SIZE) if not m >> axis & 1]
+            for axis in (fibre_axis, kept_axis))
+    return float(X.circle_lengths()[fibre_axis]) * M[np.ix_(*free)]
 
 
 def _graded_transform(alpha, j, X, fibre_axis, kept_axis, samples):
@@ -41,10 +72,20 @@ def _graded_transform(alpha, j, X, fibre_axis, kept_axis, samples):
     if alpha.periods != (X.periods[0], X.periods[fibre_axis]):
         raise ValueError("input periods do not match the structure")
 
-    up = derham.pull_back(alpha, kept_axis, X.periods[kept_axis])
-    psi = derham.wedge(_dual_power(X.flat_dual, j, up.periods), up)
-    out = derham.fibre_integrate(psi, fibre_axis,
-                                 float(X.circle_lengths()[fibre_axis]), samples)
+    T = _graded_matrix(X, j, fibre_axis, kept_axis)
+    modes, kept, at = {}, [], []
+    for row, (k_x, k_fibre) in enumerate(alpha.freqs):
+        if k_fibre % samples == 0:
+            kept.append(row)
+            at.append(modes.setdefault((k_x, 0), len(modes)))
+    # added into zeros, so a -0.0 product reads 0.0 in the report
+    rows = np.zeros((2, len(modes), 4))
+    np.add.at(rows, (slice(None), np.array(at, dtype=int)),
+              alpha._rows[:, kept] @ T.T)
+    if (0, 0) in modes:
+        rows[1, modes[0, 0]] = 0.0  # sin vanishes on the constant mode
+    out = FourierForm(2, periods=(alpha.periods[0], X.periods[kept_axis]))
+    out._set_rows(tuple(modes), rows)
 
     # degree bookkeeping: deg out = deg in + 2j - 1 per graded piece
     flags = []

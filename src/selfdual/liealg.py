@@ -7,14 +7,14 @@ adjoint contraction operators (so with the default s = 2, labels are
 basis of the 3n-dimensional (generally (s+1)n-dimensional) model space,
 in its orthonormal standard frame.
 
-Each operator is composed on basis bitmasks from the one-axis wedge and
-contraction maps of `exterior`, which own the sign rule; the result is a
-dense matrix. Each is a sum of products of fermionic creation and
-annihilation operators, so it is very sparse (at n = 3, 384 nonzeros
-among 512 x 512 entries). Operators stay dense wherever they are passed
-around, but above DENSE_MAX basis masks `commutator` and `closure_basis`
-take their products through the nonzero entries, and a bracket comes
-back as a CSR array.
+Each operator is gathered from the signed axis tables of the one-axis
+wedge and contraction maps (`exterior.axis_table`), which own the sign
+rule; the result is a dense matrix. Each is a sum of products of
+fermionic creation and annihilation operators, so it is very sparse (at
+n = 3, 384 nonzeros among 512 x 512 entries). Operators stay dense
+wherever they are passed around, but above DENSE_MAX basis masks
+`commutator` and `closure_basis` take their products through the
+nonzero entries, and a bracket comes back as a CSR array.
 """
 
 import numpy as np
@@ -49,20 +49,27 @@ def _check_label(alpha, s):
 
 def L(n, alpha, beta, s=2):
     """Sum over the n axes of the block pair: per basis mask, the one-axis
-    map of beta, then that of alpha, with the product of their signs."""
+    map of beta, then that of alpha, with the product of their signs.
+
+    Per axis, two gathers through the signed axis tables: each target
+    mask reads its source under alpha's map, which reads its own source
+    under beta's; only the masks both maps reach are written."""
     _check_label(alpha, s)
     _check_label(beta, s)
-    dim = 1 << ((s + 1) * n)
-    M = np.zeros((dim, dim))
-    op_a, op_b = (ext.contract_axis if is_barred(a, s) else ext.wedge_axis
-                  for a in (alpha, beta))
+    dim = (s + 1) * n
+    size = 1 << dim
+    M = np.zeros((size, size))
+    (source_a, sign_a), (source_b, sign_b) = (
+        ext.axis_table(dim, ext.contract_axis if is_barred(a, s)
+                       else ext.wedge_axis) for a in (alpha, beta))
     for i in range(n):
         ax_a, ax_b = ((a % (s + 1)) * n + i for a in (alpha, beta))
-        for m in range(dim):
-            first = op_b(m, ax_b)
-            second = first and op_a(first[0], ax_a)
-            if second:
-                M[second[0], m] += first[1] * second[1]
+        target = np.flatnonzero(source_a[ax_a] < size)
+        middle = source_a[ax_a, target]
+        reached = source_b[ax_b, middle] < size
+        target, middle = target[reached], middle[reached]
+        M[target, source_b[ax_b, middle]] += (sign_b[ax_b, middle]
+                                              * sign_a[ax_a, target])
     return M
 
 

@@ -326,6 +326,19 @@ def test_convexity_is_scale_free(capsys, tmp_path, c):
     assert all(check["verdict"] == "PASS" for check in rep["checks"])
 
 
+def test_fibre_volumes_of_a_tiny_chart_do_not_overflow(capsys, tmp_path):
+    # K = 1e-160 (x^2 + y^2): det g is about 4e-320 and the dual
+    # determinant about 2.5e319, which overflows as a separate factor
+    path = chart_file(tmp_path,
+                      potential={"terms": {"2,0": 1e-160, "0,2": 1e-160}},
+                      domain=[[-1.0, 1.0], [-1.0, 1.0]])
+    code, rep = run_json(capsys, ["affine-check", "--chart", path])
+    assert code == 0
+    checks = {c["id"]: c for c in rep["checks"]}
+    assert checks["fibre-volume-product"]["residual"] == 0.0
+    assert all(c["verdict"] == "PASS" for c in rep["checks"])
+
+
 @pytest.mark.parametrize("argv", [
     ["mirror", "--tau=1e-3i", "--t=1e3i"],
     ["fm", "--tau=1e-3i", "--t=1e3i"],

@@ -14,7 +14,7 @@ import pytest
 from selfdual import exterior as ext
 from selfdual import liealg
 from selfdual.derham import (
-    FourierForm, apply_operator, codifferential, d, dc, fibre_integrate,
+    FourierForm, apply_operator, codifferential, d, dc,
     harmonic_action, laplacian, laplacian_direct, verify_skaid,
 )
 from selfdual.exterior import Multivector, inner
@@ -186,15 +186,6 @@ def test_harmonic_subspace_reproduces_operator_algebra():
         induced = harmonic_action(1, a, b)
         direct = liealg.L(1, a, b)
         np.testing.assert_array_equal(induced, direct)
-
-
-def test_fibre_integrate_takes_the_rule_exactly():
-    # cos(2 pi 3 y) dy over a circle of length 1e80: exactly zero below
-    # Nyquist, with no roundoff times the length; the whole length where
-    # three samples alias the mode to a constant
-    F = FourierForm(1, {(3,): {0b1: 1.0}})
-    assert fibre_integrate(F, 0, 1e80, 8).terms == {}
-    assert fibre_integrate(F, 0, 1e80, 3).terms == {(): {0: (1e80, 0.0)}}
 
 
 def test_apply_operator_shape_check():

@@ -57,6 +57,8 @@ KEPT = {
     "charts.FlatKahlerFactor": "the factors of that fibre_product oracle",
     "derham.laplacian_direct": "oracle for derham.laplacian in test_derham",
     "exterior.wedge": "sign reference for liealg.L in test_liealg",
+    "exterior.wedge_sign": "the sign rule of exterior.wedge, and the sign "
+                           "table of test_exterior",
     "exterior.contract": "sign reference for liealg.L in test_liealg",
     "exterior.inner": "oracle for FourierForm.inner in test_derham and for "
                       "the deformed metrics in test_polylinear",

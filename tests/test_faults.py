@@ -103,3 +103,41 @@ def test_planted_fault_fails_exactly_its_records(capsys, monkeypatch, module,
         assert set(c) == {"id", "anchor", "residual", "threshold", "verdict"}
     assert {c["id"] for c in report["checks"]
             if c["verdict"] == "FAIL"} == failing
+
+
+# The pinned fm records that no planted fault flips, each with its reason.
+# The list may only shrink: a record leaves it when some row fails it.
+UNFLIPPED = {
+    "refinement-stability": "identically 0 at every allowed --samples: "
+                            "the fibre integral is exact, so doubling the "
+                            "sample count changes nothing",
+    "degree-bookkeeping": "checks the output's grades only, which a sign "
+                          "fault leaves as they are",
+}
+
+# the transform reads both kernels through exterior.axis_table; each
+# input meets a flipped sign on its way through T_1
+KERNEL_REACH = {
+    "wedge_axis": (flipped_wedge, "1"),
+    "contract_axis": (flipped_contract, "dx"),
+}
+
+
+@pytest.mark.parametrize("name,fault,alpha", [
+    (name, *row) for name, row in KERNEL_REACH.items()],
+    ids=KERNEL_REACH.keys())
+def test_kernel_fault_reaches_the_transform(capsys, monkeypatch, name, fault,
+                                            alpha):
+    argv = ["fm", "--tau", "0.5+2i", "--t", "0+0.25i", "--alpha", alpha,
+            "--j", "1"]
+    assert main(argv) == 0
+    clean = json.loads(capsys.readouterr().out)
+    monkeypatch.setattr(ext, name, fault(getattr(ext, name)))
+    code = main(argv)
+    report = json.loads(capsys.readouterr().out)
+    assert report["data"]["output"] != clean["data"]["output"]
+    # the output moved, yet every fm record passes
+    assert code == 0
+    assert sorted(c["id"] for c in report["checks"]) == sorted(WL.FM_IDS)
+    assert {c["id"] for c in report["checks"]
+            if c["verdict"] == "PASS"} == set(UNFLIPPED)

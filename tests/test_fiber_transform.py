@@ -1,8 +1,9 @@
 """Transform tests.
 
-Oracles: pointwise grid evaluation for the trig-table algebra, and a
-brute-force Riemann sum of the contracted integrand (built straight from
-exterior-algebra evaluation) for the fibre integration.
+Oracles: a brute-force Riemann sum of the contracted integrand (built
+straight from exterior-algebra evaluation) for the whole transform, and
+the Clifford relations of T-duality, with the wedge and contraction of
+`exterior.Multivector`, for its matrix.
 """
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 from selfdual import exterior as ext
 from selfdual.charts import FieldStructure, build_XY
-from selfdual.derham import FourierForm, d, wedge
+from selfdual.derham import FourierForm, d
 from selfdual.elliptic import EllipticParams, build_X
 from selfdual.fiber_transform import (
     full_transform, transform, transform_back,
@@ -18,6 +19,7 @@ from selfdual.fiber_transform import (
 from selfdual.exterior import Multivector
 
 SQUARE = EllipticParams(1j, 1j)
+MODULI = [(1j, 1j), (0.5 + 2j, 0.25j), (0.3 + 0.7j, -1.2 + 3j)]
 
 
 def X_square():
@@ -46,38 +48,6 @@ def test_torus_form_validation():
         FourierForm(2, {(0, 0, 0): {0: 1.0}})
     with pytest.raises(ValueError):
         FourierForm(2, {}, periods=[1.0, -1.0])
-
-
-def test_trig_mul_against_grid():
-    rng = np.random.default_rng(41)
-    for _ in range(20):
-        def random_table():
-            return {tuple(rng.integers(-3, 4, size=2)):
-                    (rng.normal(), rng.normal()) for _ in range(4)}
-        f = FourierForm(2, {k: {0: ab} for k, ab in random_table().items()})
-        g = FourierForm(2, {k: {0: ab} for k, ab in random_table().items()})
-        fg = wedge(f, g)
-        for pt in rng.uniform(0, 1, size=(10, 2)):
-            want = f.evaluate(pt).coeff([]) * g.evaluate(pt).coeff([])
-            got = fg.evaluate(pt).coeff([])
-            assert abs(want - got) < 1e-10
-
-
-def test_wedge_of_one_forms_anticommutes():
-    rng = np.random.default_rng(42)
-
-    def one_form():
-        table = {}
-        for mask in (1, 2):
-            k = tuple(rng.integers(-2, 3, size=2))
-            table.setdefault(k, {})[mask] = (rng.normal(), rng.normal())
-        return FourierForm(2, table)
-
-    f = one_form()
-    g = one_form()
-    lhs = wedge(f, g)
-    rhs = (-1.0) * wedge(g, f)
-    assert (lhs - rhs).norm() < 1e-12
 
 
 def test_evaluate_respects_periods():
@@ -243,33 +213,43 @@ def brute_force_transform(alpha, j, X, x, y2, samples=400):
 
 
 def test_brute_force_oracle_matches():
-    X = X_square()
     rng = np.random.default_rng(46)
     table = {(2, 0): {0: (0.7, 0.0)}, (1, 0): {1: (0.3, 0.4)},
              (0, 0): {2: (1.1, 0.0)}, (3, 0): {3: (0.0, 0.5)}}
-    alpha = FourierForm(2, table)
-    for j in (0, 1):
-        out = transform(alpha, j, X)
-        for x in rng.uniform(0, 1, size=3):
-            got = out.evaluate([x, 0.0])
-            want = brute_force_transform(alpha, j, X, x, 0.0)
-            # output axes (x, y2) correspond to total axes (0, 2)
-            want_mapped = {}
-            for mask, c in want.items():
-                m2 = 0
-                for a in ext.mask_axes(mask):
-                    assert a in (0, 2)
-                    m2 |= 1 << (0 if a == 0 else 1)
-                want_mapped[m2] = c
-            diff = got - Multivector(2, want_mapped)
-            assert diff.norm() < 1e-10
+    for tau, t in MODULI:
+        _, X = build_X(EllipticParams(tau, t))
+        alpha = FourierForm(2, table, periods=[X.periods[0], 1.0])
+        for j in (0, 1, 2):
+            out = transform(alpha, j, X)
+            for x in rng.uniform(0, 1, size=3):
+                got = out.evaluate([x, 0.0])
+                want = brute_force_transform(alpha, j, X, x, 0.0)
+                # output axes (x, y2) correspond to total axes (0, 2)
+                want_mapped = {}
+                for mask, c in want.items():
+                    m2 = 0
+                    for a in ext.mask_axes(mask):
+                        assert a in (0, 2)
+                        m2 |= 1 << (0 if a == 0 else 1)
+                    want_mapped[m2] = c
+                diff = got - Multivector(2, want_mapped)
+                assert diff.norm() < 1e-10
+
+
+# the square, and a y1 circle of length 1e80, where roundoff times the
+# length would show
+FIBRES = [build_X(SQUARE), build_X(EllipticParams(1e-100j, 1e60j))]
 
 
 def test_fibre_frequencies_average_out():
-    X = X_square()
-    alpha = FourierForm(2, {(0, 1): {2: (1.0, 0.5)}})  # dy1 with y1-dependence
-    out = transform(alpha, 0, X)
-    assert out.terms == {}
+    # exactly zero below Nyquist, with no roundoff times the length
+    for _, X in FIBRES:
+        periods = [X.periods[0], 1.0]
+        # dy1 with y1-dependence
+        alpha = FourierForm(2, {(0, 1): {2: (1.0, 0.5)}}, periods)
+        assert transform(alpha, 0, X).terms == {}
+        alpha = FourierForm(2, {(0, 3): {2: 1.0}}, periods)
+        assert transform(alpha, 0, X, samples=8).terms == {}
 
 
 def test_refinement_stability_below_nyquist():
@@ -288,13 +268,64 @@ def test_refinement_stability_below_nyquist():
 
 
 def test_aliasing_is_real_quadrature():
-    # a fibre frequency equal to the sample count folds onto the mean
-    X = X_square()
-    alpha = FourierForm(2, {(0, 16): {2: (1.0, 0.0)}})
-    aliased = transform(alpha, 0, X, samples=16)
-    resolved = transform(alpha, 0, X, samples=64)
-    assert abs(aliased.terms[(0, 0)][0][0] - 1.0) < 1e-12
-    assert resolved.terms == {}
+    # a fibre frequency the sample count divides folds onto the mean,
+    # which is the whole fibre length
+    for data, X in FIBRES:
+        for k_fibre, aliased_at, resolved_at in ((16, 16, 64), (3, 3, 8)):
+            alpha = FourierForm(2, {(0, k_fibre): {2: 1.0}},
+                                [X.periods[0], 1.0])
+            aliased = transform(alpha, 0, X, samples=aliased_at)
+            resolved = transform(alpha, 0, X, samples=resolved_at)
+            assert aliased.terms == {(0, 0): {0: (data.ell_2, 0.0)}}
+            assert resolved.terms == {}
+
+
+# ---------------------------------------------------------------------------
+# T-duality: the Clifford actions of V + V* on the two quotients
+
+
+def clifford(axis, wedge):
+    """c(dx_axis), the wedge, or c(d/dx_axis), the contraction, on the
+    exterior fibre of a two-torus, from exterior's Multivector maps."""
+    M = np.zeros((4, 4))
+    for m in range(4):
+        e = Multivector(2, {m: 1.0})
+        image = (ext.wedge(Multivector.basis(2, [axis]), e) if wedge
+                 else ext.contract(np.eye(2)[axis], e))
+        for mask, c in image.terms.items():
+            M[mask, m] = c
+    return M
+
+
+def transform_matrix(step, X, fibre_axis):
+    """T_0 + T_1, read column by column from the constant basis forms."""
+    T = np.zeros((4, 4))
+    for m in range(4):
+        e = FourierForm.constant(2, {m: 1.0},
+                                 [X.periods[0], X.periods[fibre_axis]])
+        out = step(e, 0, X) + step(e, 1, X)
+        if out.freqs:
+            T[:, m] = out.cos[0]
+    return T
+
+
+def test_transform_intertwines_the_clifford_actions():
+    # T c(v) = sigma c(phi v) T, where phi swaps the fibre's dy with the
+    # other fibre's d/dy; the base sign is -1 because T is odd
+    dx, ddx = clifford(0, True), clifford(0, False)
+    dy, ddy = clifford(1, True), clifford(1, False)
+    for tau, t in MODULI:
+        _, X = build_X(EllipticParams(tau, t))
+        T = transform_matrix(transform, X, 1)
+        back = transform_matrix(transform_back, X, 2)
+        for S in (T, back):
+            assert np.count_nonzero(S) == 4
+            assert np.array_equal(S @ dx, -dx @ S)
+            assert np.array_equal(S @ ddx, -ddx @ S)
+        assert np.array_equal(T @ dy, ddy @ T)
+        assert np.array_equal(T @ ddy, dy @ T)
+        assert np.array_equal(back @ dy, -ddy @ back)
+        assert np.array_equal(back @ ddy, -dy @ back)
 
 
 # ---------------------------------------------------------------------------
