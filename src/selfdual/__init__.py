@@ -3,8 +3,8 @@ models, and the verification suites built on them.
 
 Submodules
 ----------
-exterior        sparse multivectors, wedge, contraction, metrics, and
-                the signed axis tables every fibre operator is built from
+exterior        bitmask axis kernels, the signed axis tables every
+                operator on forms is built from, and the metric rule
 jets            truncated power series for derivatives of field data
 polylinear      pointwise structures, normal forms, compatibility
 charts          potential charts and the field-level constructions
@@ -24,13 +24,12 @@ stays clean.
 from . import (charts, derham, elliptic, exterior, fiber_transform,
                jets, liealg, polylinear, report)
 from .charts import (FieldStructure, PotentialChart, build_XY,
-                     chart_from_config, fibre_product, hessian_metric,
-                     verify_weak_selfdual)
+                     chart_from_config, hessian_metric, verify_weak_selfdual)
 from .derham import FourierForm
 from .elliptic import (EllipticParams, SelfDualTorusData, build_X,
                        complexified_area, gh_scale_profile,
                        recover_mirror_pair, selfdual_full_check)
-from .exterior import GeometryError, Multivector
+from .exterior import GeometryError
 from .fiber_transform import full_transform, transform
 from .liealg import L, chevalley_basis, generated_dimension
 from .polylinear import (PolyStructure, deform, is_compatible, normal_form,
@@ -40,11 +39,11 @@ __all__ = [
     "charts", "derham", "elliptic", "exterior", "fiber_transform",
     "jets", "liealg", "polylinear", "report",
     "FieldStructure", "PotentialChart", "build_XY", "chart_from_config",
-    "fibre_product", "hessian_metric", "verify_weak_selfdual",
+    "hessian_metric", "verify_weak_selfdual",
     "EllipticParams", "SelfDualTorusData", "build_X",
     "complexified_area", "gh_scale_profile", "recover_mirror_pair",
     "selfdual_full_check",
-    "GeometryError", "Multivector",
+    "GeometryError",
     "FourierForm", "full_transform", "transform",
     "L", "chevalley_basis", "generated_dimension",
     "PolyStructure", "deform", "is_compatible", "normal_form",

@@ -13,7 +13,11 @@ them at a point as truncated Taylor jets.  Over a chart that callable is
 keeps the last bundle for the lookups that follow; a constant
 structure's callable returns constant jets.
 Jets give exterior derivatives and Christoffel symbols at machine
-precision, with finite differences as an independent cross-check.
+precision.
+
+A form field's jets are {axis mask: Jet}; its value at a point is the
+antisymmetric matrix of a two-form (`polylinear.two_form`), and its
+exterior derivative is the dense coefficient row over all 2**dim masks.
 """
 
 import numpy as np
@@ -21,22 +25,17 @@ import numpy as np
 from . import exterior as ext
 from . import polylinear as pl
 from . import report as rp
-from .exterior import GeometryError, Multivector
+from .exterior import GeometryError
 from .jets import jet_matrix_inverse, jet_space, variables
 
 __all__ = [
     "NotConvexHere", "PolynomialPotential", "LogSumExpPotential",
     "SumPotential", "PotentialChart", "FormField", "MetricField",
-    "FieldStructure", "FlatKahlerFactor", "hessian_metric",
-    "monge_ampere_residual", "build_XY", "exterior_derivative",
-    "verify_weak_selfdual", "fibre_volume_product", "covariant_constancy",
-    "fibre_product", "sample_box", "chart_grid",
-    "random_convex_polynomial", "chart_from_config",
+    "FieldStructure", "hessian_metric", "monge_ampere_residual",
+    "build_XY", "exterior_derivative", "verify_weak_selfdual",
+    "fibre_volume_product", "covariant_constancy", "sample_box",
+    "chart_grid", "random_convex_polynomial", "chart_from_config",
 ]
-
-COUPLING_TOL = 1e-9  # a flat factor's coupling against its two metrics
-BASE_TOL = 1e-10  # fibre_product: the factors' base metrics and periods,
-                  # relative to the larger one's size
 
 
 class NotConvexHere(GeometryError):
@@ -176,9 +175,6 @@ class PotentialChart:
         space = jet_space(self.n, order)
         return self.potential.jet(variables(space, x))
 
-    def value(self, x):
-        return self.jet(x, 0).value
-
     def hessian(self, x):
         """Raw second-derivative matrix by jets, no definiteness gate."""
         K = self.jet(x, 2)
@@ -190,26 +186,6 @@ class PotentialChart:
                 e[i] += 1
                 e[j] += 1
                 H[i, j] = H[j, i] = K.derivative(tuple(e))
-        return H
-
-    def hessian_fd(self, x):
-        """Central-difference Hessian, the cross-check of `hessian`."""
-        x = np.asarray(x, dtype=float)
-        n = self.n
-        step = 1e-4
-        H = np.empty((n, n))
-        f0 = self.value(x)
-        for i in range(n):
-            ei = np.zeros(n)
-            ei[i] = step
-            H[i, i] = (self.value(x + ei) - 2 * f0 + self.value(x - ei)) / step**2
-            for j in range(i + 1, n):
-                ej = np.zeros(n)
-                ej[j] = step
-                H[i, j] = H[j, i] = (
-                    self.value(x + ei + ej) - self.value(x + ei - ej)
-                    - self.value(x - ei + ej) + self.value(x - ei - ej)
-                ) / (4 * step**2)
         return H
 
 
@@ -257,8 +233,11 @@ class FormField:
         return self._builder(np.asarray(p, dtype=float), order)
 
     def at(self, p):
-        terms = {m: j.value for m, j in self.jets(p, 0).items()}
-        return Multivector(self.dim, terms)
+        """The antisymmetric matrix of a two-form field's values at p."""
+        upper = np.zeros((self.dim, self.dim))
+        for mask, jet in self.jets(p, 0).items():
+            upper[tuple(ext.mask_axes(mask))] = jet.value
+        return pl.two_form(upper)
 
 
 class MetricField:
@@ -379,17 +358,19 @@ class FieldStructure:
 
     @classmethod
     def constant(cls, n, O1, O2, OD, h, periods=None):
+        """Constant forms, each given by its matrix (`polylinear.two_form`
+        reads the upper triangle), and a constant metric."""
         d = 3 * n
-        forms = dict(zip(FORMS, (
-            om if isinstance(om, Multivector)
-            else ext.matrix_to_form(np.asarray(om, dtype=float))
-            for om in (O1, O2, OD))))
+        forms = dict(zip(FORMS, (pl.two_form(om) for om in (O1, O2, OD))))
+        upper = np.triu_indices(d, 1)
+        masks = (1 << upper[0]) | (1 << upper[1])
         h = np.asarray(h, dtype=float)
 
         def jets(p, order):
             sp = jet_space(d, order)
-            out = {name: {m: sp.constant(c) for m, c in om.terms.items()}
-                   for name, om in forms.items()}
+            out = {name: {int(m): sp.constant(c)
+                          for m, c in zip(masks, A[upper]) if c != 0}
+                   for name, A in forms.items()}
             out["h"] = [[sp.constant(v) for v in row] for row in h]
             return out
 
@@ -411,9 +392,9 @@ class FieldStructure:
         return table[name]
 
     def structure_at(self, p):
-        O1 = ext.form_to_matrix(self.omega1.at(p))
-        O2 = ext.form_to_matrix(self.omega2.at(p))
-        return pl.PolyStructure(self.n, 2, [O1, O2], metric=self.h.at(p))
+        return pl.PolyStructure(self.n, 2, [self.omega1.at(p),
+                                            self.omega2.at(p)],
+                                metric=self.h.at(p))
 
 
 def build_XY(C):
@@ -425,37 +406,28 @@ def build_XY(C):
 # calculus on fields
 
 
-def exterior_derivative(F, p, method="ad"):
-    """d of a form field at a point, by jets or by central differences."""
-    if method == "ad":
-        out = {}
-        for mask, jet in F.jets(p, 1).items():
-            for a in range(F.dim):
-                hit = ext.wedge_axis(mask, a)
-                if hit is None:
-                    continue
-                m2, sign = hit
-                out[m2] = out.get(m2, 0.0) + sign * jet.partial(a).value
-        return Multivector(F.dim, out)
-    if method != "fd":
-        raise ValueError(f"unknown method {method!r}")
+def _value_and_partials(jets, dim):
+    """Row k holds the value of jets[k], then its first partials along
+    the dim axes: the leading coefficients in the graded order."""
+    return np.array([jet.c[: dim + 1] for jet in jets]).reshape(-1, dim + 1)
 
-    step = 1e-4
-    out = {}
-    p0 = np.asarray(p, dtype=float)
-    for a in range(F.dim):
-        ea = np.zeros(F.dim)
-        ea[a] = step
-        hi = F.at(p0 + ea)
-        lo = F.at(p0 - ea)
-        for mask in set(hi.terms) | set(lo.terms):
-            dc = (hi.terms.get(mask, 0.0) - lo.terms.get(mask, 0.0)) / (2 * step)
-            wa = ext.wedge_axis(mask, a)
-            if wa is None:
-                continue
-            m2, sign = wa
-            out[m2] = out.get(m2, 0.0) + sign * dc
-    return Multivector(F.dim, out)
+
+def exterior_derivative(F, p):
+    """d of a form field at p: its dense coefficient row over the 2**dim
+    axis masks.
+
+    One gather reads, per axis j, each output mask's source mask under
+    exterior.wedge_axis and that source's partial along j; a mask that
+    no source reaches reads a zero row with sign 0, and the sum runs in
+    axis order. It is the gather of derham's d, with the jets' partials
+    in place of a mode's wavenumbers.
+    """
+    size = 1 << F.dim
+    jets = F.jets(p, 1)
+    source, sign = ext.axis_table(F.dim, ext.wedge_axis)
+    partials = np.zeros((size + 1, F.dim))
+    partials[list(jets)] = _value_and_partials(jets.values(), F.dim)[:, 1:]
+    return (partials[source, np.arange(F.dim)[:, None]] * sign).sum(axis=0)
 
 
 def _worst_over(points, residuals, names):
@@ -476,7 +448,8 @@ def verify_weak_selfdual(F, grid):
     """
     worst, note = _worst_over(
         np.atleast_2d(np.asarray(grid, dtype=float)),
-        lambda p: {name: exterior_derivative(F.field(name), p).norm()
+        lambda p: {name: np.linalg.norm(exterior_derivative(F.field(name),
+                                                            p))
                    for name in FORMS}, FORMS)
     return [rp.check(check_id, anchor + note, worst[name], 1e-8)
             for name, check_id, anchor in (
@@ -540,93 +513,17 @@ def covariant_constancy(F, p):
         "lr,irm->lim", hinv, dh + np.transpose(dh, (2, 1, 0)) - np.transpose(dh, (1, 0, 2)))
     out = []
     for name in FORMS:
-        O0 = np.zeros((d, d))
-        dO = np.zeros((d, d, d))
-        for mask, jet in bundle[name].items():
-            a, b = ext.mask_axes(mask)
-            v = jet.value
-            O0[a, b], O0[b, a] = v, -v
-            for c in range(d):
-                pv = jet.partial(c).value
-                dO[c, a, b], dO[c, b, a] = pv, -pv
+        # O[0] holds the form's values, O[1 + c] its partials along c
+        O = np.zeros((d + 1, d, d))
+        a, b = np.array([ext.mask_axes(m) for m in bundle[name]],
+                        dtype=int).reshape(-1, 2).T
+        rows = _value_and_partials(bundle[name].values(), d).T
+        O[:, a, b], O[:, b, a] = rows, -rows
+        O0, dO = O[0], O[1:]
         nabla = dO - np.einsum("eca,eb->cab", Gamma, O0) \
             - np.einsum("ecb,ae->cab", Gamma, O0)
         out.append(float(np.sqrt(np.sum(nabla**2))))
     return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# flat factors and their fibre product
-
-
-class FlatKahlerFactor:
-    """Flat torus fibration over a box base: metrics, coupling, periods."""
-
-    def __init__(self, base_metric, fibre_metric, coupling, fibre_periods=None,
-                 base_periods=None):
-        self.base_metric = np.atleast_2d(np.asarray(base_metric, dtype=float))
-        self.fibre_metric = np.atleast_2d(np.asarray(fibre_metric, dtype=float))
-        self.coupling = np.atleast_2d(np.asarray(coupling, dtype=float))
-        self.n = self.base_metric.shape[0]
-        if fibre_periods is None:
-            fibre_periods = np.ones(self.n)
-        if base_periods is None:
-            base_periods = np.ones(self.n)
-        self.fibre_periods = np.asarray(fibre_periods, dtype=float)
-        self.base_periods = np.asarray(base_periods, dtype=float)
-        self.validate()
-
-    def validate(self):
-        ext._check_metric(self.base_metric, self.n)
-        ext._check_metric(self.fibre_metric, self.n)
-        # adapted frame: base-orthonormal u_a with partners dual under omega
-        L = np.linalg.cholesky(self.base_metric)
-        u = np.linalg.inv(L).T
-        partner = np.linalg.solve(self.fibre_metric, self.coupling.T @ u)
-        gram = partner.T @ self.fibre_metric @ partner
-        if np.max(np.abs(gram - np.eye(self.n))) > COUPLING_TOL:
-            raise GeometryError(
-                "coupling does not match the two metrics "
-                "(needs coupling fibre_metric^-1 coupling^T = base_metric)")
-
-
-def fibre_product(n, factor1, factor2):
-    """Join two flat factors over a common base into one constant structure.
-
-    The normalization halves the doubled horizontal metric and leaves the
-    pulled-back pairings untouched, so the base projection is Riemannian
-    for the assembled metric; the result is verified pointwise adapted.
-    """
-    if factor1.n != n or factor2.n != n:
-        raise ValueError("factor base dimension mismatch")
-    for what, a, b in (
-            ("metrics", factor1.base_metric, factor2.base_metric),
-            ("periods", factor1.base_periods, factor2.base_periods)):
-        diff = np.max(np.abs(a - b))
-        if diff > BASE_TOL * max(np.max(np.abs(a)), np.max(np.abs(b))):
-            raise GeometryError(f"base {what} differ by {diff:.3e} "
-                                f"(relative tolerance {BASE_TOL:.1e})")
-    gB = factor1.base_metric
-    d = 3 * n
-    O1 = np.zeros((d, d))
-    O2 = np.zeros((d, d))
-    O1[:n, n : 2 * n] = factor1.coupling
-    O1[n : 2 * n, :n] = -factor1.coupling.T
-    O2[:n, 2 * n :] = factor2.coupling
-    O2[2 * n :, :n] = -factor2.coupling.T
-    h = np.zeros((d, d))
-    h[:n, :n] = gB
-    h[n : 2 * n, n : 2 * n] = factor1.fibre_metric
-    h[2 * n :, 2 * n :] = factor2.fibre_metric
-    P = pl.PolyStructure(n, 2, [O1, O2], metric=h)
-    res = pl.is_compatible(P)
-    if not res.compatible:
-        raise GeometryError(
-            f"assembled product is not adapted (residual {res.residual:.3e})")
-    OD = ext.form_to_matrix(pl.dualizing_form_from_basis(res.basis))
-    periods = np.concatenate([
-        factor1.base_periods, factor1.fibre_periods, factor2.fibre_periods])
-    return FieldStructure.constant(n, O1, O2, OD, h, periods=periods)
 
 
 # ---------------------------------------------------------------------------

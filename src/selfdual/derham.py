@@ -165,17 +165,6 @@ class FourierForm:
     def norm(self):
         return float(np.sqrt(self.inner(self)))
 
-    def evaluate(self, point):
-        """Multivector of coefficient values at the point."""
-        theta = TWO_PI * np.asarray(point, dtype=float) / self.periods
-        out = {}
-        for k, masks in self.terms.items():
-            phase = float(np.dot(k, theta))
-            c, s = np.cos(phase), np.sin(phase)
-            for mask, (a, b) in masks.items():
-                out[mask] = out.get(mask, 0.0) + a * c + b * s
-        return ext.Multivector(self.dim, out)
-
     def __add__(self, other):
         self._check_carrier(other)
         if self.freqs == other.freqs:
@@ -200,10 +189,6 @@ class FourierForm:
                       for mask, (a, b) in masks.items())
         return [{"axes": ext.mask_axes(mask), "freq": list(k),
                  "cos": a, "sin": b} for mask, k, a, b in rows]
-
-    def __repr__(self):
-        count = np.count_nonzero((self._rows != 0).any(axis=0))
-        return f"FourierForm(dim={self.dim}, terms={count})"
 
 
 def _wavenumbers(F):
@@ -253,17 +238,6 @@ def codifferential(F):
 def laplacian(F):
     """dd* + d*d; diagonal with eigenvalue sum_j (2 pi k_j / P_j)^2."""
     return d(codifferential(F)) + codifferential(d(F))
-
-
-def laplacian_direct(F):
-    """The mode formula, kept separate as the oracle for the composed one."""
-    scale = _wavenumbers(F)
-    table = {}
-    for k, masks in F.terms.items():
-        lam = sum((s * kj) ** 2 for s, kj in zip(scale, k))
-        if lam:
-            table[k] = {m: (lam * a, lam * b) for m, (a, b) in masks.items()}
-    return FourierForm(F.dim, table, F.periods)
 
 
 def apply_operator(M, F):

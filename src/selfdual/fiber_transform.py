@@ -41,15 +41,16 @@ def _axis_matrix(axis_op, axis):
 
 def _graded_matrix(X, j, fibre_axis, kept_axis):
     """T_j = ell S_out C W^j S_in^T: S_in inserts the kept circle's bit,
-    W wedges with the dual form, whose term e_a1^...^e_ak acts as the
-    one-axis wedges W_a1 ... W_ak, C contracts the fibre tangent and
-    S_out drops the fibre bit; ell is the fibre circle's length."""
+    W wedges with the dual form, whose entry c at (a, b), a < b, acts as
+    c W_a W_b through the one-axis wedges, C contracts the fibre tangent
+    and S_out drops the fibre bit; ell is the fibre circle's length."""
+    OD = X.flat_dual
     wedge_dual = np.zeros((SIZE, SIZE))
-    for mask, c in X.flat_dual.terms.items():
-        term = c * np.eye(SIZE)
-        for a in ext.mask_axes(mask):
-            term = term @ _axis_matrix(ext.wedge_axis, a)
-        wedge_dual += term
+    # the nonzero upper-triangle entries, row by row
+    for a, b in zip(*np.nonzero(np.triu(OD, 1))):
+        wedge_dual += (OD[a, b] * np.eye(SIZE)
+                       @ _axis_matrix(ext.wedge_axis, a)
+                       @ _axis_matrix(ext.wedge_axis, b))
     M = _axis_matrix(ext.contract_axis, fibre_axis)
     for _ in range(min(j, DIM)):  # powers past the dimension vanish
         M = M @ wedge_dual

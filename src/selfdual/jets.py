@@ -155,23 +155,12 @@ class Jet:
     def __sub__(self, other):
         return self + (-other if isinstance(other, Jet) else -float(other))
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, Jet):
             return Jet(self.space, self.space.mul_coeffs(self.c, other.c))
         return Jet(self.space, self.c * float(other))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Jet):
-            return self * other.inverse()
-        return Jet(self.space, self.c / float(other))
-
-    def __rtruediv__(self, other):
-        return self.inverse() * float(other)
 
     def __pow__(self, k):
         if not isinstance(k, (int, np.integer)) or k < 0:
@@ -226,15 +215,6 @@ class Jet:
             term = term * u
             acc = acc + term * ((-1.0) ** (k + 1) / k)
         return acc
-
-    def sqrt(self):
-        return (self.log() * 0.5).exp()
-
-    def __repr__(self):
-        sp = self.space
-        bits = [f"{self.c[i]:+.6g}*x^{m}" for i, m in enumerate(sp.monomials)
-                if abs(self.c[i]) > 1e-300]
-        return "Jet(" + (" ".join(bits) or "0") + ")"
 
 
 def jet_matrix_inverse(M):

@@ -15,14 +15,14 @@ import numpy as np
 
 from . import exterior as ext
 from . import report as rp
-from .exterior import GeometryError, Multivector
+from .exterior import GeometryError
 
 __all__ = [
     "NotPolysymplectic", "Degenerate", "NotCompatible",
     "PolyStructure", "StandardBasis", "CompatibilityResult",
     "standard_basis", "is_compatible", "dualizing_form",
     "dualizing_form_from_basis", "deform", "rotate_structure",
-    "normal_form", "pulled_back",
+    "normal_form", "pulled_back", "two_form",
 ]
 
 RANK_TOL = 1e-10
@@ -63,9 +63,15 @@ def _orthocomplement(g, F):
     return np.linalg.qr(np.linalg.solve(g, _nullspace(F.T)))[0]
 
 
+def two_form(M):
+    """The two-form whose e_i ^ e_j coefficient (i < j) is M[i, j], as its
+    antisymmetric matrix: the strict upper triangle of M, mirrored with
+    the opposite sign. A -0.0 coefficient reads 0.0, a NaN stays."""
+    upper = np.triu(np.asarray(M, dtype=float), 1) + 0.0
+    return upper - upper.T
+
+
 def _as_matrix(omega):
-    if isinstance(omega, Multivector):
-        return ext.form_to_matrix(omega)
     A = np.asarray(omega, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("2-form matrix must be square")
@@ -240,12 +246,6 @@ class CompatibilityResult:
         self.basis = basis
         self.residual = float(residual)
 
-    def __bool__(self):
-        return self.compatible
-
-    def __repr__(self):
-        return f"CompatibilityResult({self.compatible}, residual={self.residual:.3e})"
-
 
 def is_compatible(P):
     """Decide whether the metric admits an orthonormal normal-form basis.
@@ -277,14 +277,15 @@ def is_compatible(P):
 
 
 def dualizing_form_from_basis(sb):
-    """Degree-2 dual pairing form of a witness basis, s=2 only."""
+    """Degree-2 dual pairing form of a witness basis, s=2 only, as its
+    antisymmetric matrix."""
     if sb.s != 2:
         raise ValueError("dualizing form requires exactly two fibre blocks")
     Binv = np.linalg.inv(sb.matrix)
     n = sb.n
     b1 = Binv[n : 2 * n, :]
     b2 = Binv[2 * n :, :]
-    return ext.matrix_to_form(b1.T @ b2 - b2.T @ b1)
+    return two_form(b1.T @ b2 - b2.T @ b1)
 
 
 def dualizing_form(P):
@@ -338,7 +339,7 @@ def rotate_structure(P, mode):
     res = is_compatible(P)
     if not res.compatible:
         raise NotCompatible("rotation is defined for adapted metrics")
-    OD = ext.form_to_matrix(dualizing_form_from_basis(res.basis))
+    OD = dualizing_form_from_basis(res.basis)
     if mode == "D1":
         forms = [OD, P.matrices[0]]
     elif mode == "2D":

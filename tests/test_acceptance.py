@@ -5,6 +5,8 @@ import time
 
 import numpy as np
 
+from oracles import exterior_derivative_fd, form_norm
+
 import selfdual.charts as ch
 import selfdual.derham as derham
 import selfdual.elliptic as el
@@ -38,8 +40,8 @@ def test_criterion_1_chart_self_duality(capsys):
         F = ch.build_XY(C)
         grid = ch.chart_grid(C, 200, seed=trial)
         for p in grid:
-            worst_d = max(
-                worst_d, ch.exterior_derivative(F.field("omegaD"), p).norm())
+            worst_d = max(worst_d, np.linalg.norm(
+                ch.exterior_derivative(F.field("omegaD"), p)))
         for x in grid[:, :n][::10]:
             g = ch.hessian_metric(C, x)
             worst_vol = max(worst_vol,
@@ -150,7 +152,7 @@ def test_criterion_5_dual_form_well_defined(capsys):
             orthonormal=True)
         assert refr.normal_form_residual(P) < 1e-9
         other = pl.dualizing_form_from_basis(refr)
-        worst_frame = max(worst_frame, (base - other).norm())
+        worst_frame = max(worst_frame, form_norm(base - other))
 
     worst_def = 0.0
     for n in (1, 2):
@@ -160,7 +162,7 @@ def test_criterion_5_dual_form_well_defined(capsys):
         for kind in ("alpha", "beta"):
             for t in (0.1, 1.0, 10.0):
                 moved = pl.dualizing_form(pl.deform(P, kind, t))
-                worst_def = max(worst_def, (base - moved).norm())
+                worst_def = max(worst_def, form_norm(base - moved))
 
     ok = worst_frame < 1e-10 and worst_def < 1e-12
     announce(capsys, 5, "dual form independence",
@@ -186,9 +188,10 @@ def test_criterion_6_derivative_integrity(capsys):
         grid = ch.chart_grid(C, points, seed=3)
         for p in grid:
             name = ("omega1", "omega2", "omegaD")[count % 3]
-            ad = ch.exterior_derivative(F.field(name), p, method="ad")
-            fd = ch.exterior_derivative(F.field(name), p, method="fd")
-            worst = max(worst, (ad - fd).norm() / max(1.0, ad.norm()))
+            ad = ch.exterior_derivative(F.field(name), p)
+            fd = exterior_derivative_fd(F.field(name), p)
+            worst = max(worst, np.linalg.norm(ad - fd)
+                        / max(1.0, np.linalg.norm(ad)))
             count += 1
     ok = worst < 1e-6 and count == 500
     announce(capsys, 6, "derivative cross-validation",

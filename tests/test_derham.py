@@ -11,13 +11,13 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import Multivector, fourier_at, inner, laplacian_direct, wedge
 from selfdual import exterior as ext
 from selfdual import liealg
 from selfdual.derham import (
     FourierForm, apply_operator, codifferential, d, dc,
-    harmonic_action, laplacian, laplacian_direct, verify_skaid,
+    harmonic_action, laplacian, verify_skaid,
 )
-from selfdual.exterior import Multivector, inner
 
 
 def test_constructor_canonicalizes_and_validates():
@@ -65,7 +65,7 @@ def test_d_single_mode_hand_value():
     a, b = coeffs[0b011]
     assert abs(a - 2.0 * np.pi) < 1e-14 and abs(b) < 1e-15
     p = [0.3, 0.1, 0.9]
-    val = out.evaluate(p).coeff([0, 1])
+    val = fourier_at(out, p).coeff([0, 1])
     assert abs(val - 2.0 * np.pi * np.cos(2.0 * np.pi * p[0])) < 1e-12
 
 
@@ -90,14 +90,14 @@ def test_d_against_finite_differences():
                 ej[j] = 1.0
 
                 def fd(step):
-                    hi = F.evaluate(p + step * ej)
-                    lo = F.evaluate(p - step * ej)
+                    hi = fourier_at(F, p + step * ej)
+                    lo = fourier_at(F, p - step * ej)
                     return (1.0 / (2 * step)) * (hi - lo)
 
                 coarse, fine = fd(h), fd(h / 2)
                 deriv = fine + (1.0 / 3.0) * (fine - coarse)
-                want = want + (Multivector.basis(3, [j]) ^ deriv)
-            assert (G.evaluate(p) - want).norm() < 1e-8
+                want = want + wedge(Multivector.basis(3, [j]), deriv)
+            assert (fourier_at(G, p) - want).norm() < 1e-8
 
 
 def test_codifferential_is_adjoint_of_d():
@@ -120,7 +120,8 @@ def test_inner_is_the_mean_over_the_torus():
         G = FourierForm(2, FourierForm.random(rng, 2, 3).terms, periods)
         grid = [(periods[0] * i / 16, periods[1] * j / 16)
                 for i in range(16) for j in range(16)]
-        mean = np.mean([inner(F.evaluate(p), G.evaluate(p)) for p in grid])
+        mean = np.mean([inner(fourier_at(F, p), fourier_at(G, p))
+                        for p in grid])
         assert abs(F.inner(G) - mean) < 1e-12 * max(1.0, F.norm() * G.norm())
 
 

@@ -1,8 +1,10 @@
 """Every name a module exports through __all__ resolves, so a deletion
 cannot leave a stale export behind; the command line imports no heavy
-module it does not use; and every definition in the package is reached
-by a report or named with what reaches it."""
+module it does not use; every function and method in the package is
+reached by a report or named with what reaches it; and every oracle in
+`tests/oracles.py` is used by some test."""
 
+import ast
 import importlib
 import inspect
 import json
@@ -40,11 +42,11 @@ def test_cli_does_not_import_scipy_stats():
     assert proc.stdout.strip() == "False"
 
 
-# Every module-level function and every class with methods in src/selfdual
-# runs on some report's path; what no report reaches is named here with
-# what reaches it instead: an acceptance criterion, a demo, a test oracle
-# or a ROADMAP item. A new orphan fails the test, and so does an entry that
-# a report has come to reach.
+# Every module-level function and every method in src/selfdual runs on
+# some report's path; what no report reaches is named here with what
+# reaches it instead: an acceptance criterion, a demo or a ROADMAP item.
+# Test oracles live in tests/oracles.py. A new orphan fails the test, and
+# so does an entry that a report has come to reach.
 KEPT = {
     "charts.random_convex_polynomial": "criterion 1: the random charts",
     "elliptic.gh_scale_profile": "criterion 2: the collapse profile",
@@ -52,20 +54,9 @@ KEPT = {
     "polylinear.dualizing_form": "criterion 5: witness independence",
     "fiber_transform.transform_back": "criterion 7: the inverse transform",
     "fiber_transform.full_transform": "demo 04",
-    "charts.fibre_product": "oracle for elliptic.build_X in test_elliptic::"
-                            "test_matches_flat_product_construction",
-    "charts.FlatKahlerFactor": "the factors of that fibre_product oracle",
-    "derham.laplacian_direct": "oracle for derham.laplacian in test_derham",
-    "exterior.wedge": "sign reference for liealg.L in test_liealg",
-    "exterior.wedge_sign": "the sign rule of exterior.wedge, and the sign "
-                           "table of test_exterior",
-    "exterior.contract": "sign reference for liealg.L in test_liealg",
-    "exterior.inner": "oracle for FourierForm.inner in test_derham and for "
-                      "the deformed metrics in test_polylinear",
-    "exterior.evaluate": "oracle for contract and form_to_matrix in "
-                         "test_exterior",
-    "exterior._minor": "the minors of exterior.inner and exterior.evaluate",
-    "liealg.trace_form": "ROADMAP item 8: the Howe-duality oracle",
+    "derham.FourierForm.constant": "criterion 7 and demo 04: the constant "
+                                   "input forms",
+    "liealg.trace_form": "ROADMAP item 5: the Howe-duality oracle",
 }
 
 REACH_LINES = [
@@ -86,8 +77,8 @@ def _code(obj):
 
 
 def _definitions():
-    """module.qualname of each module-level function, and of each class
-    with methods, written in the module's own file."""
+    """module.qualname of the code of each module-level function and of
+    each method, written in the module's own file."""
     out = set()
     for module in MODULES[1:]:
         for obj in vars(module).values():
@@ -95,10 +86,9 @@ def _definitions():
                 continue
             codes = ([_code(v) for v in vars(obj).values()]
                      if inspect.isclass(obj) else [_code(obj)])
-            if any(c is not None and c.co_filename == module.__file__
-                   for c in codes):
-                out.add(f"{module.__name__.rpartition('.')[2]}."
-                        f"{obj.__qualname__}")
+            out.update(f"{module.__name__.rpartition('.')[2]}."
+                       f"{c.co_qualname}" for c in codes
+                       if c is not None and c.co_filename == module.__file__)
     return out
 
 
@@ -131,7 +121,23 @@ def test_every_definition_is_reached_by_a_report_or_kept():
         [sys.executable, "-c", TRACE, json.dumps(REACH_LINES)],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    ran = json.loads(proc.stdout)
-    never = {name for name in _definitions()
-             if not any(r == name or r.startswith(name + ".") for r in ran)}
+    never = _definitions() - set(json.loads(proc.stdout))
     assert never == set(KEPT)
+
+
+TESTS = Path(__file__).resolve().parent
+
+
+def test_every_oracle_is_imported_by_a_test():
+    defined = set()
+    for node in ast.parse((TESTS / "oracles.py").read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Assign):
+            defined.update(t.id for t in node.targets
+                           if isinstance(t, ast.Name))
+    imported = {alias.name for path in TESTS.glob("test_*.py")
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ImportFrom)
+                and node.module == "oracles" for alias in node.names}
+    assert defined and defined - imported == set()

@@ -1,11 +1,14 @@
-"""Exterior algebra unit tests with independent brute-force oracles."""
+"""Exterior kernel and metric-rule tests, and tests of the sparse
+exterior algebra in `oracles` against independent brute-force oracles."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import (Multivector, _minor, contract, evaluate, inner,
+                     wedge, wedge_sign)
 from selfdual import exterior as ext
-from selfdual.exterior import Multivector, wedge, contract, inner
+from selfdual import polylinear as pl
 
 
 def bubble_sign(seq):
@@ -73,7 +76,7 @@ def test_wedge_sign_matches_inversion_count_oracle():
                 if ma & mb:
                     continue
                 want = bubble_sign(ext.mask_axes(ma) + ext.mask_axes(mb))
-                assert ext.wedge_sign(ma, mb) == want, (ma, mb)
+                assert wedge_sign(ma, mb) == want, (ma, mb)
 
 
 def test_wedge_of_covectors_is_pairing_determinant():
@@ -85,7 +88,7 @@ def test_wedge_of_covectors_is_pairing_determinant():
         w = Multivector.scalar(5, 1.0)
         for p in phis:
             w = wedge(w, Multivector.covector(p))
-        lhs = ext.evaluate(w, vs)
+        lhs = evaluate(w, vs)
         rhs = np.linalg.det(np.array([[p @ v for v in vs] for p in phis]))
         assert abs(lhs - rhs) < 1e-10
 
@@ -131,8 +134,8 @@ def test_contract_is_evaluation_in_first_slot():
         v = rng.normal(size=5)
         k = int(rng.integers(1, 4))
         us = [rng.normal(size=5) for _ in range(k - 1)]
-        lhs = ext.evaluate(contract(v, a).grade_part(k - 1), us)
-        rhs = ext.evaluate(a.grade_part(k), [v] + us)
+        lhs = evaluate(contract(v, a).grade_part(k - 1), us)
+        rhs = evaluate(a.grade_part(k), [v] + us)
         assert abs(lhs - rhs) < 1e-10
 
 
@@ -207,8 +210,10 @@ def test_minors_of_size_zero_and_one_are_exact(c):
     assert inner(e0, e0, c * np.eye(3)) == c
     assert inner(Multivector.scalar(3, c), Multivector.scalar(3, 1.0),
                  np.eye(3)) == c
-    assert ext.evaluate(e0, [np.array([c, 2.0, 5.0])]) == c
-    assert ext.evaluate(Multivector.scalar(3, c), []) == c
+    assert evaluate(e0, [np.array([c, 2.0, 5.0])]) == c
+    assert evaluate(Multivector.scalar(3, c), []) == c
+    assert _minor(c * np.eye(3), [], []) == 1.0
+    assert _minor(c * np.eye(3), [2], [2]) == c
 
 
 # the one metric rule: square, finite, symmetric to 1e-12 of the largest
@@ -243,10 +248,14 @@ def test_form_matrix_round_trip():
     rng = np.random.default_rng(10)
     A = rng.normal(size=(5, 5))
     A = A - A.T
-    w = ext.matrix_to_form(A)
-    np.testing.assert_allclose(ext.form_to_matrix(w), A, atol=1e-14)
+    # an antisymmetric matrix is its own two-form, bit for bit
+    np.testing.assert_array_equal(pl.two_form(A), A)
+    # only the upper triangle is read, and -0.0 reads 0.0
+    np.testing.assert_array_equal(pl.two_form(A + np.tril(A ** 2)), A)
+    assert not np.signbit(pl.two_form(np.full((5, 5), -0.0))).any()
+    w = Multivector.two_form(A)
     u, v = rng.normal(size=5), rng.normal(size=5)
-    assert abs(ext.evaluate(w, [u, v]) - u @ A @ v) < 1e-10
+    assert abs(evaluate(w, [u, v]) - u @ A @ v) < 1e-10
 
 
 def test_zero_pruning():

@@ -15,12 +15,14 @@ from pathlib import Path
 
 import pytest
 
+from selfdual import charts as ch
 from selfdual import elliptic as el
 from selfdual import exterior as ext
 from selfdual import liealg
 from selfdual.cli import main
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def load_workloads():
@@ -66,11 +68,29 @@ def flipped_contract(contract_axis):
     return faulty
 
 
+def negated_correction(at):
+    """The dual form's base-correction term T read with the wrong sign:
+    its x_j ^ y1_i entries negated, the metric's T as it is. The jets
+    bundle is copied, so the cached one stays clean."""
+    def faulty(self, p, order):
+        out = at(self, p, order)
+        base = (1 << self.chart.n) - 1
+        omegaD = {mask: -1.0 * jet if mask & base else jet
+                  for mask, jet in out["omegaD"].items()}
+        return dict(out, omegaD=omegaD)
+    return faulty
+
+
 FAULTS = {
     "build_X-theta-1-shift": (
         el, "build_X", shifted_angle,
         ["mirror", "--tau", "0+1i", "--t", "0+0.5i"], WL.MIRROR_IDS,
         {"mirror-round-trip"}),
+    "omegaD-correction-negated": (
+        ch._ChartJets, "at", negated_correction,
+        ["affine-check", "--chart", str(ROOT / "demos" / "charts" /
+                                        "lse2d.cfg"), "--points", "20"],
+        WL.AFFINE_IDS, {"dual-form-closed"}),
     "L-0-1-scaled": (
         liealg, "L", scaled_pairing, ["rep-check", "--n", "1"], WL.REP_IDS,
         {"bracket-family-1", "bracket-family-2", "bracket-family-3"}),
