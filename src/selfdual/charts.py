@@ -15,9 +15,10 @@ structure's callable returns constant jets.
 Jets give exterior derivatives and Christoffel symbols at machine
 precision.
 
-A form field's jets are {axis mask: Jet}; its value at a point is the
-antisymmetric matrix of a two-form (`polylinear.two_form`), and its
-exterior derivative is the dense coefficient row over all 2**dim masks.
+A form field's jets are {axis mask: Jet}; the value of a two-form field
+at a point is its antisymmetric matrix (`polylinear.two_form`), and its
+exterior derivative is {axis mask: coefficient} over the masks that one
+more axis reaches, so its cost follows the field's nonzero entries.
 """
 
 import numpy as np
@@ -32,9 +33,10 @@ __all__ = [
     "NotConvexHere", "PolynomialPotential", "LogSumExpPotential",
     "SumPotential", "PotentialChart", "FormField", "MetricField",
     "FieldStructure", "hessian_metric", "monge_ampere_residual",
-    "build_XY", "exterior_derivative", "verify_weak_selfdual",
-    "fibre_volume_product", "covariant_constancy", "sample_box",
-    "chart_grid", "random_convex_polynomial", "chart_from_config",
+    "build_XY", "exterior_derivative", "coefficient_norm",
+    "verify_weak_selfdual", "fibre_volume_product", "covariant_constancy",
+    "sample_box", "chart_grid", "random_convex_polynomial",
+    "chart_from_config",
 ]
 
 
@@ -223,6 +225,7 @@ class FormField:
     """Differential form field given by jet-valued coefficient functions.
 
     jet_builder(p, order) returns {axis mask: Jet in the full-space order}.
+    `at` is defined for two-form fields only.
     """
 
     def __init__(self, dim, jet_builder):
@@ -236,6 +239,8 @@ class FormField:
         """The antisymmetric matrix of a two-form field's values at p."""
         upper = np.zeros((self.dim, self.dim))
         for mask, jet in self.jets(p, 0).items():
+            if mask.bit_count() != 2:
+                raise ValueError(f"axis mask {mask:#b} is not of grade 2")
             upper[tuple(ext.mask_axes(mask))] = jet.value
         return pl.two_form(upper)
 
@@ -406,28 +411,23 @@ def build_XY(C):
 # calculus on fields
 
 
-def _value_and_partials(jets, dim):
-    """Row k holds the value of jets[k], then its first partials along
-    the dim axes: the leading coefficients in the graded order."""
-    return np.array([jet.c[: dim + 1] for jet in jets]).reshape(-1, dim + 1)
-
-
 def exterior_derivative(F, p):
-    """d of a form field at p: its dense coefficient row over the 2**dim
-    axis masks.
+    """d of a form field at p: {axis mask: coefficient}, one
+    exterior.wedge_axis step per (field mask, axis) pair, summed in the
+    field's mask order and then in axis order."""
+    out = {}
+    for mask, jet in F.jets(p, 1).items():
+        for a, partial in enumerate(jet.first_order()[1:]):
+            hit = ext.wedge_axis(mask, a)
+            if hit is not None:
+                target, sign = hit
+                out[target] = out.get(target, 0.0) + sign * partial
+    return out
 
-    One gather reads, per axis j, each output mask's source mask under
-    exterior.wedge_axis and that source's partial along j; a mask that
-    no source reaches reads a zero row with sign 0, and the sum runs in
-    axis order. It is the gather of derham's d, with the jets' partials
-    in place of a mode's wavenumbers.
-    """
-    size = 1 << F.dim
-    jets = F.jets(p, 1)
-    source, sign = ext.axis_table(F.dim, ext.wedge_axis)
-    partials = np.zeros((size + 1, F.dim))
-    partials[list(jets)] = _value_and_partials(jets.values(), F.dim)[:, 1:]
-    return (partials[source, np.arange(F.dim)[:, None]] * sign).sum(axis=0)
+
+def coefficient_norm(form):
+    """2-norm of {axis mask: coefficient}, summed in the form's order."""
+    return float(np.sqrt(sum(c * c for c in form.values())))
 
 
 def _worst_over(points, residuals, names):
@@ -448,9 +448,8 @@ def verify_weak_selfdual(F, grid):
     """
     worst, note = _worst_over(
         np.atleast_2d(np.asarray(grid, dtype=float)),
-        lambda p: {name: np.linalg.norm(exterior_derivative(F.field(name),
-                                                            p))
-                   for name in FORMS}, FORMS)
+        lambda p: {name: coefficient_norm(exterior_derivative(
+            F.field(name), p)) for name in FORMS}, FORMS)
     return [rp.check(check_id, anchor + note, worst[name], 1e-8)
             for name, check_id, anchor in (
                 ("omegaD", "dual-form-closed", "exterior derivative of the "
@@ -517,7 +516,8 @@ def covariant_constancy(F, p):
         O = np.zeros((d + 1, d, d))
         a, b = np.array([ext.mask_axes(m) for m in bundle[name]],
                         dtype=int).reshape(-1, 2).T
-        rows = _value_and_partials(bundle[name].values(), d).T
+        rows = np.array([jet.first_order() for jet in bundle[name].values()]
+                        ).reshape(-1, d + 1).T
         O[:, a, b], O[:, b, a] = rows, -rows
         O0, dO = O[0], O[1:]
         nabla = dO - np.einsum("eca,eb->cab", Gamma, O0) \

@@ -203,9 +203,8 @@ def selfdual_full_check(data, F):
     structures gives an infinite residual.
     """
     point = np.array([0.1, 0.2, 0.3])
-    d_res = rp.worst(np.linalg.norm(ch.exterior_derivative(F.field(name),
-                                                           point))
-                     for name in ch.FORMS)
+    d_res = rp.worst(ch.coefficient_norm(ch.exterior_derivative(
+        F.field(name), point)) for name in ch.FORMS)
     cov = rp.worst(ch.covariant_constancy(F, point))
 
     P = F.structure_at(point)

@@ -7,13 +7,14 @@ d = n*(s+1) axes are ordered
 
 i.e. one horizontal block followed by s fibre blocks.  A basis k-form is a
 set of axes encoded as a bitmask over the d positions, expressed in the
-increasing-axis-order basis.  A form is a dense array over the 2**d masks;
-a two-form is also read as its antisymmetric d x d matrix, with
-omega(u, v) = u^T A v and the coefficient of e_i ^ e_j (i < j) at A[i, j].
-Every sign in the package derives from this single ordering, through the
-one-axis kernels wedge_axis and contract_axis; axis_table turns a kernel
-into the signed arrays from which charts, liealg, derham and
-fiber_transform build their operators.  metric_fault is the one rule for
+increasing-axis-order basis.  A form on an exterior fibre is a dense
+array over the 2**d masks; a two-form is also read as its antisymmetric
+d x d matrix, with omega(u, v) = u^T A v and the coefficient of e_i ^ e_j
+(i < j) at A[i, j].  Every sign in the package derives from this single
+ordering, through the one-axis kernels wedge_axis and contract_axis;
+axis_table turns a kernel into the signed arrays from which liealg,
+derham and fiber_transform build their operators, and the chart exterior
+derivative calls wedge_axis once per (field mask, axis) pair.  metric_fault is the one rule for
 what counts as a metric.
 """
 

@@ -119,6 +119,14 @@ class Jet:
             scale *= factorial(e)
         return scale * self.coefficient(exponents)
 
+    def first_order(self):
+        """The value, then the first partials along each variable: the
+        coefficients of degree at most one, which the graded order keeps
+        first and in variable order."""
+        if self.space.order < 1:
+            raise ValueError("an order-0 jet carries no first partials")
+        return self.c[: self.space.nvars + 1].copy()
+
     def partial(self, v):
         sp = self.space
         out = np.zeros(sp.size)

@@ -5,9 +5,8 @@ from the code it checks: a sparse `Multivector` whose wedge takes its
 sign from inversion counts and whose contraction from axis positions,
 not from the one-axis kernels; Gram determinants for the pairing of
 forms; central differences for derivatives; the flat-factor product for
-the torus family; the mode formula for the Laplacian; and the
-per-(mask, axis) loop that the chart exterior derivative gathers in one
-step. Every name here is imported by some test module.
+the torus family; and the mode formula for the Laplacian. Every name
+here is imported by some test module.
 """
 
 import numpy as np
@@ -213,24 +212,9 @@ def form_norm(A):
 # derivatives
 
 
-def exterior_derivative_loop(F, p):
-    """d of a form field at p, per (mask, axis) through
-    exterior.wedge_axis and Jet.partial: the loop that
-    charts.exterior_derivative gathers in one step."""
-    out = np.zeros(1 << F.dim)
-    for mask, jet in F.jets(p, 1).items():
-        for a in range(F.dim):
-            hit = ext.wedge_axis(mask, a)
-            if hit is None:
-                continue
-            target, sign = hit
-            out[target] += sign * jet.partial(a).value
-    return out
-
-
 def exterior_derivative_fd(F, p, step=1e-4):
     """d of a two-form field at p by central differences of its matrix,
-    sum_a e_a ^ d_a omega with the Multivector wedge, as a dense row."""
+    sum_a e_a ^ d_a omega with the Multivector wedge."""
     p = np.asarray(p, dtype=float)
     out = Multivector.zero(F.dim)
     for a in range(F.dim):
@@ -239,7 +223,7 @@ def exterior_derivative_fd(F, p, step=1e-4):
         slope = (F.at(p + e) - F.at(p - e)) / (2 * step)
         out = out + wedge(Multivector.basis(F.dim, [a]),
                           Multivector.two_form(slope))
-    return out.row()
+    return out
 
 
 def hessian_fd(C, x, step=1e-4):

@@ -66,6 +66,16 @@ def test_partial_shifts_taylor_table():
         assert abs(fx.derivative(m) - want) < 1e-10 * max(1.0, abs(want))
 
 
+@pytest.mark.parametrize("order", [1, 3])
+def test_first_order_is_the_value_then_each_partial(order):
+    x, y, z = variables(jet_space(3, order), [0.7, 0.1, -0.4])
+    f = (x * y).exp() + z * z * x
+    want = [f.value] + [f.partial(v).value for v in range(3)]
+    assert f.first_order().tolist() == want
+    with pytest.raises(ValueError, match="order-0"):
+        jet_space(3, 0).constant(1.0).first_order()
+
+
 def test_embed_into_larger_space():
     small = jet_space(2, 3)
     big = jet_space(4, 3)
