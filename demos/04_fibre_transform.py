@@ -2,7 +2,7 @@
 
 import selfdual.elliptic as el
 from selfdual.derham import FourierForm
-from selfdual.fiber_transform import full_transform, transform
+from selfdual.fiber_transform import degree_note, full_transform, transform
 
 data, X = el.build_X(el.EllipticParams(1j, 1j))
 
@@ -14,10 +14,11 @@ dx = FourierForm.constant(2, {0b01: 1.0})
 print("S(1), j=1:", transform(one, 1, X).coefficient_table())
 print("S(dx), j=1:", transform(dx, 1, X).coefficient_table())
 
-# Degrees follow deg + 2j - 1; anything leaving [0, 2] is dropped and
-# flagged on the note field.
+# Degrees follow deg + 2j - 1; anything leaving [0, 2] is dropped, and
+# degree_note names it.
 out = transform(one, 0, X)
-print("j=0 on a scalar:", out.coefficient_table(), "note:", out.note)
+print("j=0 on a scalar:", out.coefficient_table(), "note:",
+      degree_note(one, 0))
 
 # Oscillating fibre modes integrate to zero.
 osc = FourierForm(2, {(0, 3): {0: (1.0, 0.0)}})

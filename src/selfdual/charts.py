@@ -15,10 +15,13 @@ structure's callable returns constant jets.
 Jets give exterior derivatives and Christoffel symbols at machine
 precision.
 
-A form field's jets are {axis mask: Jet}; the value of a two-form field
-at a point is its antisymmetric matrix (`polylinear.two_form`), and its
-exterior derivative is {axis mask: coefficient} over the masks that one
-more axis reaches, so its cost follows the field's nonzero entries.
+Callers read the structure directly: `FieldStructure.jets(p, order)`
+is the one accessor of the jets, and `form_at` and `metric_at` read the
+values at a point. A form field's jets are {axis mask: Jet}; the value
+of a two-form field at a point is its antisymmetric matrix
+(`polylinear.two_form`), and `exterior_derivative` takes one field's
+order-1 jets and returns {axis mask: coefficient} over the masks that
+one more axis reaches, so its cost follows the field's nonzero entries.
 """
 
 import numpy as np
@@ -31,8 +34,8 @@ from .jets import jet_matrix_inverse, jet_space, variables
 
 __all__ = [
     "NotConvexHere", "PolynomialPotential", "LogSumExpPotential",
-    "SumPotential", "PotentialChart", "FormField", "MetricField",
-    "FieldStructure", "hessian_metric", "monge_ampere_residual",
+    "SumPotential", "PotentialChart", "FieldStructure", "hessian_metric",
+    "monge_ampere_residual",
     "build_XY", "exterior_derivative", "coefficient_norm",
     "verify_weak_selfdual", "fibre_volume_product", "covariant_constancy",
     "sample_box", "chart_grid", "random_convex_polynomial",
@@ -221,51 +224,7 @@ def monge_ampere_residual(C, grid):
 # coefficient fields
 
 
-class FormField:
-    """Differential form field given by jet-valued coefficient functions.
-
-    jet_builder(p, order) returns {axis mask: Jet in the full-space order}.
-    `at` is defined for two-form fields only.
-    """
-
-    def __init__(self, dim, jet_builder):
-        self.dim = int(dim)
-        self._builder = jet_builder
-
-    def jets(self, p, order):
-        return self._builder(np.asarray(p, dtype=float), order)
-
-    def at(self, p):
-        """The antisymmetric matrix of a two-form field's values at p."""
-        upper = np.zeros((self.dim, self.dim))
-        for mask, jet in self.jets(p, 0).items():
-            if mask.bit_count() != 2:
-                raise ValueError(f"axis mask {mask:#b} is not of grade 2")
-            upper[tuple(ext.mask_axes(mask))] = jet.value
-        return pl.two_form(upper)
-
-
-class MetricField:
-    """Symmetric matrix field with jet-valued entries."""
-
-    def __init__(self, dim, jet_builder):
-        self.dim = int(dim)
-        self._builder = jet_builder
-
-    def jets(self, p, order):
-        return self._builder(np.asarray(p, dtype=float), order)
-
-    def at(self, p):
-        J = self.jets(p, 0)
-        return np.array([[e.value for e in row] for row in J])
-
-
 FORMS = ("omega1", "omega2", "omegaD")
-
-
-def _entry(jets, name):
-    """A field builder that reads one named entry of a structure's jets."""
-    return lambda p, order: jets(p, order)[name]
 
 
 def _jmat(A, B):
@@ -343,8 +302,8 @@ class FieldStructure:
 
     jets(p, order) returns the structure at p as Taylor jets of that
     order in the 3n coordinates: {"omega1", "omega2", "omegaD": {axis
-    mask: Jet}, "h": d x d nested list of Jets}. The fields `omega1`,
-    `omega2`, `omegaD` and `h` are views onto it. A chart structure
+    mask: Jet}, "h": d x d nested list of Jets}. `form_at(name, p)` and
+    `metric_at(p)` read the values at p from it. A chart structure
     (`build_XY`) keeps its chart; a constant structure also records the
     dual form and metric it was built from (`flat_dual`, `flat_metric`;
     None otherwise) and its periods, the unit torus by default.
@@ -354,9 +313,6 @@ class FieldStructure:
         self.n = int(n)
         self.dim = 3 * self.n
         self._jets = jets
-        self.omega1, self.omega2, self.omegaD = (
-            FormField(self.dim, _entry(jets, name)) for name in FORMS)
-        self.h = MetricField(self.dim, _entry(jets, "h"))
         self.chart = chart
         self.periods = None if periods is None else np.asarray(periods, float)
         self.flat_dual = self.flat_metric = None
@@ -391,15 +347,24 @@ class FieldStructure:
         structure: sqrt(h_aa) P_a."""
         return np.sqrt(np.diag(self.flat_metric)) * self.periods
 
-    def field(self, name):
-        table = {"omega1": self.omega1, "omega2": self.omega2,
-                 "omegaD": self.omegaD}
-        return table[name]
+    def form_at(self, name, p):
+        """The antisymmetric matrix of a two-form field's values at p."""
+        upper = np.zeros((self.dim, self.dim))
+        for mask, jet in self.jets(p, 0)[name].items():
+            if mask.bit_count() != 2:
+                raise ValueError(f"axis mask {mask:#b} is not of grade 2")
+            upper[tuple(ext.mask_axes(mask))] = jet.value
+        return pl.two_form(upper)
+
+    def metric_at(self, p):
+        """The metric's values at p, as a d x d matrix."""
+        return np.array([[e.value for e in row]
+                         for row in self.jets(p, 0)["h"]])
 
     def structure_at(self, p):
-        return pl.PolyStructure(self.n, 2, [self.omega1.at(p),
-                                            self.omega2.at(p)],
-                                metric=self.h.at(p))
+        return pl.PolyStructure(
+            self.n, 2, [self.form_at("omega1", p), self.form_at("omega2", p)],
+            metric=self.metric_at(p))
 
 
 def build_XY(C):
@@ -411,12 +376,13 @@ def build_XY(C):
 # calculus on fields
 
 
-def exterior_derivative(F, p):
-    """d of a form field at p: {axis mask: coefficient}, one
-    exterior.wedge_axis step per (field mask, axis) pair, summed in the
-    field's mask order and then in axis order."""
+def exterior_derivative(jets):
+    """d of a form field at a point, from its order-1 jets there ({axis
+    mask: Jet}): {axis mask: coefficient}, one exterior.wedge_axis step
+    per (field mask, axis) pair, summed in the field's mask order and
+    then in axis order."""
     out = {}
-    for mask, jet in F.jets(p, 1).items():
+    for mask, jet in jets.items():
         for a, partial in enumerate(jet.first_order()[1:]):
             hit = ext.wedge_axis(mask, a)
             if hit is not None:
@@ -449,7 +415,7 @@ def verify_weak_selfdual(F, grid):
     worst, note = _worst_over(
         np.atleast_2d(np.asarray(grid, dtype=float)),
         lambda p: {name: coefficient_norm(exterior_derivative(
-            F.field(name), p)) for name in FORMS}, FORMS)
+            F.jets(p, 1)[name])) for name in FORMS}, FORMS)
     return [rp.check(check_id, anchor + note, worst[name], 1e-8)
             for name, check_id, anchor in (
                 ("omegaD", "dual-form-closed", "exterior derivative of the "

@@ -49,6 +49,8 @@ class Int(namedtuple("Int", "lo cap")):
 SEED = Int(0, 10**5)
 # grid points, and a chart config's grid_size and validation_points
 POINTS = Int(1, 10**4)
+# a chart's base dimension n, the length of its config's domain
+CHART_DIM = Int(1, 8)
 
 
 def parse_complex(text):
@@ -89,8 +91,7 @@ def suite_verify_pointwise(n, s, trials, seed):
         Q2, _ = np.linalg.qr(rng.normal(size=(d, d)))
         M = Q1 @ np.diag(rng.uniform(0.5, 2.0, size=d)) @ Q2
         P = pl.pulled_back(base, M)
-        B = pl.standard_basis(P)
-        res = B.normal_form_residual(P)
+        res = pl.normal_form_residual(P, pl.standard_basis(P))
         scale = max(float(np.max(np.abs(A))) for A in P.matrices)
         if s == 2:
             res = rp.worst([res, pl.is_compatible(P).residual])
@@ -114,6 +115,7 @@ def suite_affine_check(chart, points, seed):
                    for key, domain, default in (
                        ("seed", SEED, 0), ("validation_points", POINTS, 64),
                        ("grid_size", POINTS, 100))}
+        CHART_DIM(len(raw["domain"]), "domain dimension")
         C = ch.chart_from_config(raw)
     except (OSError, ValueError, KeyError, TypeError, AttributeError,
             RecursionError, ConfigError, ch.GeometryError) as exc:
@@ -135,9 +137,9 @@ def suite_mirror(tau, t):
     data, F = el.build_X(p)
     first, second = el.recover_mirror_pair(data)
     round_trip = rp.worst([
-        abs(first.tau.imag - p.tau2), abs(first.t.imag - p.t2),
-        el.circle_distance(first.tau.real, p.tau1),
-        el.circle_distance(first.t.real, p.t1)])
+        abs(first.tau.imag - p.tau.imag), abs(first.t.imag - p.t.imag),
+        el.circle_distance(first.tau.real, p.tau.real),
+        el.circle_distance(first.t.real, p.t.real)])
     checks = [
         rp.check("mirror-round-trip", "parameters recovered from the "
                  "torus invariants", round_trip, 1e-12),
@@ -180,7 +182,7 @@ def _parse_alpha(text, base_period):
 def suite_fm(tau, t, alpha, j, samples):
     p = el.EllipticParams(tau, t)
     _, X = el.build_X(p)
-    form = _parse_alpha(alpha, p.tau2)
+    form = _parse_alpha(alpha, p.tau.imag)
     # the trapezoid rule over the fibre is exact only below Nyquist
     fibre_freq = max((abs(k[1]) for k in form.freqs), default=0)
     if samples <= fibre_freq:
@@ -198,8 +200,9 @@ def suite_fm(tau, t, alpha, j, samples):
         "degree-bookkeeping", "output degrees follow the grading rule",
         0.0 if degree_ok else 1.0, 0.5))
     data = {"input": form.coefficient_table(),
-            "output": out.coefficient_table(), "output_note": out.note,
-            "j": j, "samples": samples}
+            "output": out.coefficient_table(),
+            "output_note": fm.degree_note(form, j), "j": j,
+            "samples": samples}
     config = {"tau": rp.complex_str(tau), "t": rp.complex_str(t),
               "alpha": alpha, "j": j, "samples": samples}
     return rp.make_report("fm", config, checks, data)

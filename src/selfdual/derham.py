@@ -49,9 +49,7 @@ class FourierForm:
 
     The constructor takes that dict layout, with any frequency sign and
     both k and -k; a coefficient is a (cos, sin) tuple or a bare number
-    for a pure cos term. periods defaults to the unit torus. note
-    carries flags raised while producing the form (degree clipping in
-    the fibre transform).
+    for a pure cos term. periods defaults to the unit torus.
     """
 
     def __init__(self, dim, terms=None, periods=None):
@@ -63,7 +61,6 @@ class FourierForm:
             if len(periods) != dim or not all(p > 0 for p in periods):
                 raise ValueError("periods must be positive, one per axis")
         self.periods = periods
-        self.note = None
         table = {}
         for k, masks in (terms or {}).items():
             if len(k) != dim:
@@ -93,7 +90,7 @@ class FourierForm:
     def _with_rows(self, freqs, rows):
         """A form on this carrier with the given modes and rows."""
         out = object.__new__(FourierForm)
-        out.dim, out.periods, out.note = self.dim, self.periods, None
+        out.dim, out.periods = self.dim, self.periods
         out._set_rows(freqs, rows)
         return out
 

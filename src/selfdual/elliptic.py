@@ -50,22 +50,6 @@ class EllipticParams:
             raise ValueError("Im t / Im tau leaves the floating-point range")
 
     @property
-    def tau1(self):
-        return self.tau.real
-
-    @property
-    def tau2(self):
-        return self.tau.imag
-
-    @property
-    def t1(self):
-        return self.t.real
-
-    @property
-    def t2(self):
-        return self.t.imag
-
-    @property
     def kahler_coefficient(self):
         """Coefficient -t/(2 Im tau) of the closed complex 2-form on the
         flat curve of modulus tau."""
@@ -117,7 +101,7 @@ def build_X(p):
     angles are the real-part shears of the gluing, theta_1 = Re t and
     theta_2 = Re tau, in [0, 1).
     """
-    s = p.t2 / p.tau2
+    s = p.t.imag / p.tau.imag
     O1 = np.zeros((3, 3))
     O1[0, 1], O1[1, 0] = s, -s
     O2 = np.zeros((3, 3))
@@ -126,13 +110,13 @@ def build_X(p):
     OD[1, 2], OD[2, 1] = 1.0, -1.0
     h = np.diag([s, s, 1.0 / s])
     F = ch.FieldStructure.constant(1, O1, O2, OD, h,
-                                   periods=[p.tau2, 1.0, 1.0])
+                                   periods=[p.tau.imag, 1.0, 1.0])
     base, y1, y2 = F.circle_lengths()
     data = SelfDualTorusData(
         base_length=float(base), ell_1=float(y2), ell_2=float(y1),
         # a tiny negative x % 1.0 rounds to 1.0, which % 1.0 maps to 0.0
-        theta_1=p.t1 % 1.0 % 1.0,
-        theta_2=p.tau1 % 1.0 % 1.0,
+        theta_1=p.t.real % 1.0 % 1.0,
+        theta_2=p.tau.real % 1.0 % 1.0,
     )
     return data, F
 
@@ -145,10 +129,9 @@ def recover_mirror_pair(d):
     representatives in [0, 1).
     """
     d.validate()
-    tau2 = d.base_length * d.ell_1
-    t2 = d.base_length * d.ell_2
-    first = EllipticParams(complex(d.theta_2 % 1.0 % 1.0, tau2),
-                           complex(d.theta_1 % 1.0 % 1.0, t2))
+    first = EllipticParams(
+        complex(d.theta_2 % 1.0 % 1.0, d.base_length * d.ell_1),
+        complex(d.theta_1 % 1.0 % 1.0, d.base_length * d.ell_2))
     return first, first.swapped()
 
 
@@ -179,7 +162,7 @@ def gh_scale_profile(p, rs):
     for r in rs:
         if r <= 0:
             raise ValueError("r must be positive")
-        pr = EllipticParams(complex(p.tau1, r * p.t2), p.t)
+        pr = EllipticParams(complex(p.tau.real, r * p.t.imag), p.t)
         data, _ = build_X(pr)
         rows.append({
             "r": r,
@@ -188,7 +171,7 @@ def gh_scale_profile(p, rs):
             "ell_expanding": data.ell_1,
             "length_product": data.ell_1 * data.ell_2,
             "base_length": data.base_length,
-            "limit_metric_coefficient": p.t2 / pr.tau2,
+            "limit_metric_coefficient": p.t.imag / pr.tau.imag,
         })
     return rows
 
@@ -204,7 +187,7 @@ def selfdual_full_check(data, F):
     """
     point = np.array([0.1, 0.2, 0.3])
     d_res = rp.worst(ch.coefficient_norm(ch.exterior_derivative(
-        F.field(name), point)) for name in ch.FORMS)
+        F.jets(point, 1)[name])) for name in ch.FORMS)
     cov = rp.worst(ch.covariant_constancy(F, point))
 
     P = F.structure_at(point)

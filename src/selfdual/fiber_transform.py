@@ -87,16 +87,17 @@ def _graded_transform(alpha, j, X, fibre_axis, kept_axis, samples):
         rows[1, modes[0, 0]] = 0.0  # sin vanishes on the constant mode
     out = FourierForm(2, periods=(alpha.periods[0], X.periods[kept_axis]))
     out._set_rows(tuple(modes), rows)
-
-    # degree bookkeeping: deg out = deg in + 2j - 1 per graded piece
-    flags = []
-    for i in alpha.grades():
-        target = i + 2 * j - 1
-        if target < 0 or target > 2:
-            flags.append(f"degree {i} maps outside the carrier "
-                         f"(target {target}); contribution dropped")
-    out.note = "; ".join(flags) if flags else None
     return out
+
+
+def degree_note(alpha, j):
+    """The grades of alpha that graded piece j sends outside the carrier,
+    as one line, or None when every grade lands: deg out = deg in + 2j - 1
+    must lie in [0, 2], and a grade that leaves contributes zero."""
+    flags = [f"degree {i} maps outside the carrier (target {i + 2 * j - 1}); "
+             "contribution dropped"
+             for i in alpha.grades() if not 0 <= i + 2 * j - 1 <= 2]
+    return "; ".join(flags) or None
 
 
 def transform(alpha, j, X, samples=64):
@@ -104,7 +105,7 @@ def transform(alpha, j, X, samples=64):
 
     alpha lives on the (x, y1) torus; the result lives on (x, y2) and
     has degree deg(alpha) + 2j - 1. Degrees leaving [0, 2] contribute
-    zero and are flagged on the output's note.
+    zero (`degree_note` names them).
     """
     return _graded_transform(alpha, j, X, fibre_axis=1, kept_axis=2,
                              samples=samples)
@@ -119,12 +120,5 @@ def transform_back(beta, j, X, samples=64):
 def full_transform(alpha, X, samples=64, back=False):
     """Sum of the graded pieces over all j with nonzero dual power."""
     step = transform_back if back else transform
-    out = None
-    notes = []
-    for j in (0, 1):
-        piece = step(alpha, j, X, samples=samples)
-        if piece.note:
-            notes.append(f"j={j}: {piece.note}")
-        out = piece if out is None else out + piece
-    out.note = "; ".join(notes) if notes else None
-    return out
+    return (step(alpha, 0, X, samples=samples)
+            + step(alpha, 1, X, samples=samples))

@@ -11,7 +11,6 @@ build sources with enough headroom for every partial you plan to take.
 """
 
 from functools import lru_cache
-from itertools import product
 from math import factorial
 
 import numpy as np
@@ -19,14 +18,18 @@ import numpy as np
 __all__ = ["JetSpace", "Jet", "jet_space", "variables", "jet_matrix_inverse"]
 
 
+def _exponents(nvars, total):
+    """The exponent tuples of nvars entries summing to total, in
+    descending lexicographic order, built entry by entry so that no
+    other tuple is visited."""
+    if nvars == 0:
+        return [()] if total == 0 else []
+    return [(e, *rest) for e in range(total, -1, -1)
+            for rest in _exponents(nvars - 1, total - e)]
+
+
 def _monomials(nvars, order):
-    out = []
-    for total in range(order + 1):
-        block = [m for m in product(range(total + 1), repeat=nvars)
-                 if sum(m) == total]
-        block.sort(reverse=True)
-        out.extend(block)
-    return out
+    return [m for total in range(order + 1) for m in _exponents(nvars, total)]
 
 
 class JetSpace:

@@ -7,6 +7,11 @@ adapted to the forms, produces the degree-2 dualizing form for s=2, and
 implements the length-rescaling deformations and the rotation that swaps
 the dualizing form into the pair.
 
+A basis is the plain matrix of its columns v_1..v_n, w^1_1..w^s_n:
+`standard_basis` returns one, `is_compatible` carries the orthonormal
+witness one, and `normal_form_residual(P, B)` measures how far B is from
+bringing P to normal form.
+
 Axis convention follows `exterior`: one n-block of base axes, then s
 n-blocks of fibre axes.
 """
@@ -19,7 +24,7 @@ from .exterior import GeometryError
 
 __all__ = [
     "NotPolysymplectic", "Degenerate", "NotCompatible",
-    "PolyStructure", "StandardBasis", "CompatibilityResult",
+    "PolyStructure", "CompatibilityResult", "normal_form_residual",
     "standard_basis", "is_compatible", "dualizing_form",
     "dualizing_form_from_basis", "deform", "rotate_structure",
     "normal_form", "pulled_back", "two_form",
@@ -147,20 +152,13 @@ class PolyStructure:
             raise NotPolysymplectic("kernel blocks are not independent")
 
 
-class StandardBasis:
-    """Columns v_1..v_n then w^1_1..w^s_n, in normal form for the structure."""
-
-    def __init__(self, n, s, matrix, orthonormal=False):
-        self.n = int(n)
-        self.s = int(s)
-        self.matrix = np.asarray(matrix, dtype=float)
-        self.orthonormal = bool(orthonormal)
-
-    def normal_form_residual(self, P):
-        B = self.matrix
-        return rp.worst(
-            np.max(np.abs(B.T @ A @ B - _canonical_matrix(P.n, P.s, j + 1)))
-            for j, A in enumerate(P.matrices))
+def normal_form_residual(P, B):
+    """Largest entry of B^T A_j B minus the j-th normal form, over the
+    forms of P: zero when the columns of B, v_1..v_n then w^1_1..w^s_n,
+    are a normal-form basis."""
+    return rp.worst(
+        np.max(np.abs(B.T @ A @ B - _canonical_matrix(P.n, P.s, j + 1)))
+        for j, A in enumerate(P.matrices))
 
 
 def _dual(P, j, v):
@@ -195,25 +193,23 @@ def _darboux_basis(A):
 
 
 def standard_basis(P):
-    """Basis in which every form takes its block normal form.
+    """Basis in which every form takes its block normal form, as the
+    matrix of its columns v_1..v_n, w^1_1..w^s_n.
 
     The base block is chosen orthogonal to the kernel sum, under the
     structure's metric when present and Euclidean otherwise, then corrected
     to be isotropic for each form.
     """
     P.validate()
-    n, s, d = P.n, P.s, P.dim
-
-    if s == 1:
+    if P.s == 1:
         B = _darboux_basis(P.matrices[0])
-        sb = StandardBasis(n, s, B)
         # the Darboux blocks are of unit size: the residual needs no scale
-        if not sb.normal_form_residual(P) <= 1e-10:
+        if not normal_form_residual(P, B) <= 1e-10:
             raise Degenerate("pairing construction failed to reach normal form")
-        return sb
+        return B
 
     Fj = P.kernel_blocks()
-    g = P.metric if P.metric is not None else np.eye(d)
+    g = P.metric if P.metric is not None else np.eye(P.dim)
     # validate() fixed the rank of the kernel sum, so W0 has n columns
     W0 = _orthocomplement(g, np.hstack(Fj))
 
@@ -225,22 +221,21 @@ def standard_basis(P):
     # F_j is A_j-isotropic
     v = W0 + 0.5 * sum(_dual(P, j, W0) @ (W0.T @ A @ W0).T
                        for j, A in enumerate(P.matrices))
-    ws = [_dual(P, j, v) for j in range(s)]
+    ws = [_dual(P, j, v) for j in range(P.s)]
 
     # v / r and w^j r keep v^T A_j w^j = I and have equal sizes, so every
     # block of B^T A_j B is of unit size and the residual needs no scale
     r = np.sqrt(np.max(np.abs(v)) / max(np.max(np.abs(w)) for w in ws))
     B = np.hstack([v / r] + [w * r for w in ws])
-    ortho = False
-    if P.metric is not None:
-        ortho = np.max(np.abs(B.T @ P.metric @ B - np.eye(d))) < 1e-9
-    sb = StandardBasis(n, s, B, orthonormal=ortho)
-    if not sb.normal_form_residual(P) <= 1e-10:
+    if not normal_form_residual(P, B) <= 1e-10:
         raise Degenerate("normal form verification failed")
-    return sb
+    return B
 
 
 class CompatibilityResult:
+    """The verdict, the witness basis matrix (None when incompatible) and
+    the residual behind the verdict."""
+
     def __init__(self, compatible, basis, residual):
         self.compatible = bool(compatible)
         self.basis = basis
@@ -260,7 +255,6 @@ def is_compatible(P):
     if P.s == 1:
         raise ValueError("compatibility test needs at least two forms")
     P.validate()
-    n, s, d = P.n, P.s, P.dim
     g = P.metric
 
     Wg = _orthocomplement(g, P.kernel_sum())
@@ -269,20 +263,28 @@ def is_compatible(P):
     v = Wg @ np.linalg.inv(L).T
 
     B = np.hstack([v] + [-np.linalg.solve(g, A @ v) for A in P.matrices])
-    basis = StandardBasis(n, s, B, orthonormal=True)
-    res = rp.worst([np.max(np.abs(B.T @ g @ B - np.eye(d))),
-                    basis.normal_form_residual(P)])
+    res = rp.worst([np.max(np.abs(B.T @ g @ B - np.eye(P.dim))),
+                    normal_form_residual(P, B)])
     ok = res < COMPAT_TOL
-    return CompatibilityResult(ok, basis if ok else None, res)
+    return CompatibilityResult(ok, B if ok else None, res)
 
 
-def dualizing_form_from_basis(sb):
-    """Degree-2 dual pairing form of a witness basis, s=2 only, as its
-    antisymmetric matrix."""
-    if sb.s != 2:
+def _witness(P):
+    """The orthonormal witness basis of P, or NotCompatible."""
+    res = is_compatible(P)
+    if not res.compatible:
+        raise NotCompatible(
+            f"metric residual {res.residual:.3e} exceeds {COMPAT_TOL}")
+    return res.basis
+
+
+def dualizing_form_from_basis(B):
+    """Degree-2 dual pairing form of the witness basis B of a two-pairing
+    structure (s=2, so B is 3n x 3n), as its antisymmetric matrix."""
+    if len(B) % 3:
         raise ValueError("dualizing form requires exactly two fibre blocks")
-    Binv = np.linalg.inv(sb.matrix)
-    n = sb.n
+    Binv = np.linalg.inv(B)
+    n = len(B) // 3
     b1 = Binv[n : 2 * n, :]
     b2 = Binv[2 * n :, :]
     return two_form(b1.T @ b2 - b2.T @ b1)
@@ -292,11 +294,7 @@ def dualizing_form(P):
     """The basis-independent 2-form pairing the two fibre coframes."""
     if P.s != 2:
         raise ValueError("dualizing form is defined only for s=2")
-    res = is_compatible(P)
-    if not res.compatible:
-        raise NotCompatible(
-            f"metric residual {res.residual:.3e} exceeds {COMPAT_TOL}")
-    return dualizing_form_from_basis(res.basis)
+    return dualizing_form_from_basis(_witness(P))
 
 
 def deform(P, kind, t):
@@ -314,9 +312,7 @@ def deform(P, kind, t):
             metric=None if P.metric is None else t * P.metric)
     if P.s != 2:
         raise ValueError("alpha/beta deformations require s=2")
-    res = is_compatible(P)
-    if not res.compatible:
-        raise NotCompatible("deformations are defined for adapted metrics")
+    B = _witness(P)
     n = P.n
     if kind == "alpha":
         diag = [t] * n + [t] * n + [1.0 / t] * n
@@ -326,7 +322,7 @@ def deform(P, kind, t):
         forms = [P.matrices[0], t * P.matrices[1]]
     else:
         raise ValueError(f"unknown deformation kind {kind!r}")
-    Binv = np.linalg.inv(res.basis.matrix)
+    Binv = np.linalg.inv(B)
     gnew = Binv.T @ np.diag(diag) @ Binv
     gnew = 0.5 * (gnew + gnew.T)
     return PolyStructure(P.n, P.s, forms, metric=gnew)
@@ -336,10 +332,7 @@ def rotate_structure(P, mode):
     """Swap the dualizing form into the pair: (om_D, om_1) or (om_2, om_D)."""
     if P.s != 2:
         raise ValueError("rotation requires s=2")
-    res = is_compatible(P)
-    if not res.compatible:
-        raise NotCompatible("rotation is defined for adapted metrics")
-    OD = dualizing_form_from_basis(res.basis)
+    OD = dualizing_form_from_basis(_witness(P))
     if mode == "D1":
         forms = [OD, P.matrices[0]]
     elif mode == "2D":

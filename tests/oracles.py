@@ -212,15 +212,16 @@ def form_norm(A):
 # derivatives
 
 
-def exterior_derivative_fd(F, p, step=1e-4):
-    """d of a two-form field at p by central differences of its matrix,
-    sum_a e_a ^ d_a omega with the Multivector wedge."""
+def exterior_derivative_fd(F, name, p, step=1e-4):
+    """d of the structure's named two-form field at p by central
+    differences of its matrix (`form_at`), sum_a e_a ^ d_a omega with the
+    Multivector wedge."""
     p = np.asarray(p, dtype=float)
     out = Multivector.zero(F.dim)
     for a in range(F.dim):
         e = np.zeros(F.dim)
         e[a] = step
-        slope = (F.at(p + e) - F.at(p - e)) / (2 * step)
+        slope = (F.form_at(name, p + e) - F.form_at(name, p - e)) / (2 * step)
         out = out + wedge(Multivector.basis(F.dim, [a]),
                           Multivector.two_form(slope))
     return out

@@ -18,7 +18,7 @@ from oracles import (
 )
 from selfdual import polylinear as pl
 from selfdual.charts import (
-    FORMS, FieldStructure, FormField, LogSumExpPotential, NotConvexHere,
+    FORMS, FieldStructure, LogSumExpPotential, NotConvexHere,
     PolynomialPotential, PotentialChart, SumPotential, build_XY,
     chart_from_config, chart_grid, coefficient_norm, covariant_constancy,
     exterior_derivative, fibre_volume_product, hessian_metric,
@@ -131,20 +131,20 @@ def test_build_XY_quadratic_fields():
     C = quadratic_chart(2)
     F = build_XY(C)
     p = np.array([0.1, -0.2, 0.3, 0.4, -0.5, 0.6])
-    O1 = F.omega1.at(p)
+    O1 = F.form_at("omega1", p)
     assert form_norm(O1 - basis_two_form(6, [(0, 2), (1, 3)])) < 1e-12
-    OD = F.omegaD.at(p)
+    OD = F.form_at("omegaD", p)
     assert form_norm(OD - basis_two_form(6, [(2, 4), (3, 5)])) < 1e-12
-    np.testing.assert_allclose(F.h.at(p), np.eye(6), atol=1e-12)
+    np.testing.assert_allclose(F.metric_at(p), np.eye(6), atol=1e-12)
 
 
 def test_build_XY_quartic_hand_coefficients():
     F = build_XY(quartic_chart())
     x, y1, y2 = 1.3, 0.4, -0.7
-    OD = F.omegaD.at([x, y1, y2])
+    OD = F.form_at("omegaD", [x, y1, y2])
     assert abs(OD[1, 2] - x * x) < 1e-12        # dy1^dy2 carries g
     assert abs(OD[0, 1] - (-2 * x * y2)) < 1e-12  # dx^dy1 correction
-    O1 = F.omega1.at([x, y1, y2])
+    O1 = F.form_at("omega1", [x, y1, y2])
     assert abs(O1[0, 1] - x * x) < 1e-12
 
 
@@ -158,7 +158,7 @@ def test_build_XY_pointwise_compatibility_and_dual_agreement():
             res = pl.is_compatible(P)
             assert res.compatible
             # the explicit dual field equals the basis-independent one
-            OD_field = F.omegaD.at(p)
+            OD_field = F.form_at("omegaD", p)
             OD_pointwise = pl.dualizing_form_from_basis(res.basis)
             assert form_norm(OD_field - OD_pointwise) < 1e-9
 
@@ -180,7 +180,7 @@ def test_build_XY_correction_matches_composite_formula():
         dginv.append((hi - lo) / (2 * step))
     g = hessian_metric(C, x)
     T_oracle = np.einsum("m,mk,il,jlk->ij", y2, g, g, np.array(dginv))
-    OD = F.omegaD.at(p)
+    OD = F.form_at("omegaD", p)
     for i in range(2):
         for j in range(2):
             got = OD[j, 2 + i]
@@ -190,7 +190,7 @@ def test_build_XY_correction_matches_composite_formula():
 def test_twisted_frame_is_horizontal_for_h():
     F = build_XY(quartic_chart())
     p = np.array([1.1, 0.2, 0.8])
-    h = F.h.at(p)
+    h = F.metric_at(p)
     g = hessian_metric(F.chart, p[:1])
     # the frame h-orthogonal to both fibre blocks has Gram matrix
     # h_xx - h_xf h_ff^-1 h_fx
@@ -204,16 +204,12 @@ def test_twisted_frame_is_horizontal_for_h():
 
 
 def test_exterior_derivative_linear_coefficient():
-    d = 3
-    f = FormField(d, lambda p, o: {0b010: jet_space(d, o).variable(0, p[0])})
-    out = exterior_derivative(f, [0.5, 0.1, 0.2])
+    out = exterior_derivative({0b010: jet_space(3, 1).variable(0, 0.5)})
     assert (Multivector(3, out) - Multivector.basis(3, [0, 1])).norm() < 1e-12
 
 
 def test_exterior_derivative_fibre_coefficient():
-    d = 3
-    f = FormField(d, lambda p, o: {0b001: jet_space(d, o).variable(2, p[2])})
-    out = exterior_derivative(f, [0.5, 0.1, 0.2])
+    out = exterior_derivative({0b001: jet_space(3, 1).variable(2, 0.2)})
     # d(y2 dx) = dy2^dx = -dx^dy2
     assert (Multivector(3, out) + Multivector.basis(3, [0, 2])).norm() < 1e-12
 
@@ -221,8 +217,9 @@ def test_exterior_derivative_fibre_coefficient():
 def test_pairing_fields_are_closed():
     F = build_XY(quartic_chart())
     p = [1.4, 0.3, -0.2]
-    assert coefficient_norm(exterior_derivative(F.omega1, p)) < 1e-10
-    assert coefficient_norm(exterior_derivative(F.omega2, p)) < 1e-10
+    for name in ("omega1", "omega2"):
+        assert coefficient_norm(exterior_derivative(F.jets(p, 1)[name])) \
+            < 1e-10
 
 
 def test_ad_matches_fd_exterior_derivative():
@@ -230,8 +227,8 @@ def test_ad_matches_fd_exterior_derivative():
     C = random_convex_polynomial(2, rng)
     F = build_XY(C)
     for p in chart_grid(C, 5, seed=13):
-        ad = exterior_derivative(F.omegaD, p)
-        fd = exterior_derivative_fd(F.omegaD, p)
+        ad = exterior_derivative(F.jets(p, 1)["omegaD"])
+        fd = exterior_derivative_fd(F, "omegaD", p)
         gap = (Multivector(F.dim, ad) - fd).norm()
         assert gap < 1e-6 * max(1.0, coefficient_norm(ad))
 
@@ -243,25 +240,24 @@ def test_exterior_derivative_on_a_six_dimensional_base():
     F = build_XY(C)
     p = chart_grid(C, 1, seed=4)[0]
     for name in FORMS:
-        field = F.field(name)
-        ad = exterior_derivative(field, p)
-        assert 0 < len(ad) <= len(field.jets(p, 1)) * F.dim
+        jets = F.jets(p, 1)[name]
+        ad = exterior_derivative(jets)
+        assert 0 < len(ad) <= len(jets) * F.dim
         assert all(mask.bit_count() == 3 for mask in ad)
         assert coefficient_norm(ad) < 1e-10
-        gap = (Multivector(F.dim, ad) - exterior_derivative_fd(field, p)).norm()
-        assert gap < 1e-6
+        fd = exterior_derivative_fd(F, name, p)
+        assert (Multivector(F.dim, ad) - fd).norm() < 1e-6
 
 
 def test_exterior_derivative_of_infinite_partials():
-    def jet(o, value, *partials):
-        space = jet_space(3, o)
-        return Jet(space, np.array([value, *partials])[: space.size])
+    def jet(value, *partials):
+        return Jet(jet_space(3, 1), np.array([value, *partials]))
 
-    f = FormField(3, lambda p, o: {0b001: jet(o, 1.0, 0.0, np.inf, 2.0),
-                                   0b010: jet(o, 0.0, np.inf, 0.0, 0.0),
-                                   0b100: jet(o, -1.0, 1.0, -np.inf, 0.0)})
+    jets = {0b001: jet(1.0, 0.0, np.inf, 2.0),
+            0b010: jet(0.0, np.inf, 0.0, 0.0),
+            0b100: jet(-1.0, 1.0, -np.inf, 0.0)}
     with np.errstate(invalid="ignore"):  # inf - inf
-        got = exterior_derivative(f, [0.0, 0.0, 0.0])
+        got = exterior_derivative(jets)
     # inf - inf on dx^dy1, -inf on dy1^dy2, finite on dx^dy2
     assert set(got) == {0b011, 0b101, 0b110}
     assert np.isnan(got[0b011]) and got[0b110] == -np.inf
@@ -269,9 +265,10 @@ def test_exterior_derivative_of_infinite_partials():
 
 
 def test_two_form_value_needs_a_two_form_field():
-    f = FormField(3, lambda p, o: {0b010: jet_space(3, o).variable(0, p[0])})
+    F = FieldStructure(1, lambda p, o: {
+        "omega1": {0b010: jet_space(3, o).variable(0, p[0])}})
     with pytest.raises(ValueError, match="grade 2"):
-        f.at([0.5, 0.1, 0.2])
+        F.form_at("omega1", [0.5, 0.1, 0.2])
 
 
 # ---------------------------------------------------------------------------
@@ -359,10 +356,10 @@ def unit_factor():
 def test_fibre_product_of_unit_factors():
     F = fibre_product(1, unit_factor(), unit_factor())
     p = [0.2, 0.3, 0.4]
-    assert form_norm(F.omega1.at(p) - basis_two_form(3, [(0, 1)])) < 1e-12
-    assert form_norm(F.omega2.at(p) - basis_two_form(3, [(0, 2)])) < 1e-12
-    assert form_norm(F.omegaD.at(p) - basis_two_form(3, [(1, 2)])) < 1e-12
-    np.testing.assert_allclose(F.h.at(p), np.eye(3), atol=1e-12)
+    for name, pair in zip(FORMS, ((0, 1), (0, 2), (1, 2))):
+        assert form_norm(F.form_at(name, p) - basis_two_form(3, [pair])) \
+            < 1e-12
+    np.testing.assert_allclose(F.metric_at(p), np.eye(3), atol=1e-12)
 
 
 def test_fibre_product_base_mismatch_rejected():
@@ -424,7 +421,7 @@ def test_fibre_product_random_factors_compatible():
                 res = pl.is_compatible(F.structure_at(p))
                 assert res.compatible
             # base projection is Riemannian: the Schur complement is gB
-            h = F.h.at(np.zeros(3 * n))
+            h = F.metric_at(np.zeros(3 * n))
             np.testing.assert_allclose(
                 h[:n, :n] - h[:n, n:] @ np.linalg.solve(h[n:, n:], h[n:, :n]),
                 gB, atol=1e-10)

@@ -13,8 +13,8 @@ from hypothesis import Phase, given, settings, strategies as st
 
 from selfdual import charts as ch
 from selfdual import derham
-from selfdual.cli import COMMANDS, ConfigError, Int, build_parser, main, \
-    parse_complex
+from selfdual.cli import CHART_DIM, COMMANDS, ConfigError, Int, \
+    build_parser, main, parse_complex
 
 ROOT = Path(__file__).resolve().parent.parent
 CHART = "demos/charts/quartic1d.cfg"
@@ -179,6 +179,39 @@ def test_chart_config_entries_outside_their_domain_exit_two(
         capsys, tmp_path, entries):
     assert_config_error(capsys, ["affine-check", "--chart",
                                  chart_file(tmp_path, **entries)])
+
+
+def diagonal_quartic(tmp_path, n):
+    """The chart K = sum_i x_i**4 / 12 on [0.5, 2]**n, as a config file."""
+    terms = {",".join("4" if i == k else "0" for i in range(n)): 1.0 / 12
+             for k in range(n)}
+    path = tmp_path / f"quartic{n}.cfg"
+    path.write_text(json.dumps({"potential": {"terms": terms},
+                                "domain": [[0.5, 2.0]] * n}))
+    return str(path)
+
+
+def test_chart_above_the_dimension_cap_exits_two_before_it_is_built(
+        capsys, tmp_path, monkeypatch):
+    def unreachable(cfg):
+        raise AssertionError("the chart was built")
+
+    monkeypatch.setattr(ch, "chart_from_config", unreachable)
+    path = diagonal_quartic(tmp_path, CHART_DIM.cap + 1)
+    assert main(["affine-check", "--chart", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"configuration error: chart config {path}: "
+                            f"domain dimension must be an integer in "
+                            f"1..{CHART_DIM.cap}, got {CHART_DIM.cap + 1}\n")
+
+
+def test_chart_at_the_dimension_cap_passes(capsys, tmp_path):
+    code, rep = run_json(capsys, [
+        "affine-check", "--chart", diagonal_quartic(tmp_path, CHART_DIM.cap),
+        "--points", "2"])
+    assert code == 0
+    assert rep["data"]["dimensions"] == CHART_DIM.cap
 
 
 # flags that a subcommand accepted without its suite reading them, and

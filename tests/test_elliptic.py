@@ -36,9 +36,10 @@ def test_build_square_point():
     assert abs(data.ell_2 - 1.0) < 1e-15
     assert data.theta_1 == 0.0 and data.theta_2 == 0.0
     p = [0.3, 0.4, 0.5]
-    assert form_norm(F.omega1.at(p) - basis_two_form(3, [(0, 1)])) < 1e-15
-    assert form_norm(F.omegaD.at(p) - basis_two_form(3, [(1, 2)])) < 1e-15
-    np.testing.assert_allclose(F.h.at(p), np.eye(3), atol=1e-15)
+    for name, pair in (("omega1", (0, 1)), ("omegaD", (1, 2))):
+        assert form_norm(F.form_at(name, p) - basis_two_form(3, [pair])) \
+            < 1e-15
+    np.testing.assert_allclose(F.metric_at(p), np.eye(3), atol=1e-15)
 
 
 def test_build_rectangular_point():
@@ -204,24 +205,23 @@ def test_structure_is_compatible_with_unit_dual_form():
 def test_matches_flat_product_construction():
     # the same structure assembled from the two flat factors
     p = EllipticParams(2.5j, 0.4j)
-    s = p.t2 / p.tau2
+    s = p.t.imag / p.tau.imag
     f1 = FlatKahlerFactor([[s]], [[s]], [[s]],
-                          base_periods=[p.tau2], fibre_periods=[1.0])
+                          base_periods=[p.tau.imag], fibre_periods=[1.0])
     f2 = FlatKahlerFactor([[s]], [[1.0 / s]], [[1.0]],
-                          base_periods=[p.tau2], fibre_periods=[1.0])
+                          base_periods=[p.tau.imag], fibre_periods=[1.0])
     G = fibre_product(1, f1, f2)
     _, F = build_X(p)
     pt = [0.3, 0.6, 0.9]
-    assert form_norm(G.omega1.at(pt) - F.omega1.at(pt)) < 1e-14
-    assert form_norm(G.omega2.at(pt) - F.omega2.at(pt)) < 1e-14
-    assert form_norm(G.omegaD.at(pt) - F.omegaD.at(pt)) < 1e-14
-    np.testing.assert_allclose(G.h.at(pt), F.h.at(pt), atol=1e-14)
+    for name in ch.FORMS:
+        assert form_norm(G.form_at(name, pt) - F.form_at(name, pt)) < 1e-14
+    np.testing.assert_allclose(G.metric_at(pt), F.metric_at(pt), atol=1e-14)
     np.testing.assert_array_equal(G.periods, F.periods)
 
 
 def test_structure_is_scaling_deformation_of_canonical():
     p = EllipticParams(2.5j, 0.4j)
-    s = p.t2 / p.tau2
+    s = p.t.imag / p.tau.imag
     base = pl.normal_form(1, 2, metric=True)
     Q = pl.deform(base, "alpha", s)
     _, F = build_X(p)

@@ -81,16 +81,57 @@ def negated_correction(at):
     return faulty
 
 
+def open_pairing(name, axis_block):
+    """A term added to one pairing's first jet that is 0 at the point and
+    grows along the first axis of a fibre block none of its masks
+    contains: the values, and so compatibility, stay as they are, and
+    the pairing is no longer closed."""
+    def fault(at):
+        def faulty(self, p, order):
+            out = at(self, p, order)
+            field = dict(out[name])
+            mask = next(iter(field))
+            axis = axis_block * self.chart.n
+            field[mask] = field[mask] + field[mask].space.variable(axis)
+            return dict(out, **{name: field})
+        return faulty
+    return fault
+
+
+def scaled_fibre_metric(at):
+    """The metric's y1 block scaled by 1.001, the forms as they are."""
+    def faulty(self, p, order):
+        out = at(self, p, order)
+        y1 = range(self.chart.n, 2 * self.chart.n)
+        h = [[1.001 * jet if a in y1 and b in y1 else jet
+              for b, jet in enumerate(row)] for a, row in enumerate(out["h"])]
+        return dict(out, h=h)
+    return faulty
+
+
+LSE2D = ["affine-check", "--chart",
+         str(ROOT / "demos" / "charts" / "lse2d.cfg"), "--points", "20"]
+
 FAULTS = {
     "build_X-theta-1-shift": (
         el, "build_X", shifted_angle,
         ["mirror", "--tau", "0+1i", "--t", "0+0.5i"], WL.MIRROR_IDS,
         {"mirror-round-trip"}),
     "omegaD-correction-negated": (
-        ch._ChartJets, "at", negated_correction,
-        ["affine-check", "--chart", str(ROOT / "demos" / "charts" /
-                                        "lse2d.cfg"), "--points", "20"],
-        WL.AFFINE_IDS, {"dual-form-closed"}),
+        ch._ChartJets, "at", negated_correction, LSE2D, WL.AFFINE_IDS,
+        {"dual-form-closed"}),
+    # omega1 pairs x with y1, so a y2 term opens it; omega2 the other way
+    "omega1-not-closed": (
+        ch._ChartJets, "at", open_pairing("omega1", 2), LSE2D,
+        WL.AFFINE_IDS, {"pairing-1-closed"}),
+    "omega2-not-closed": (
+        ch._ChartJets, "at", open_pairing("omega2", 1), LSE2D,
+        WL.AFFINE_IDS, {"pairing-2-closed"}),
+    # the closures read no metric, and fibre-volume-product reads
+    # hessian_metric, not h
+    "h-y1-block-scaled": (
+        ch._ChartJets, "at", scaled_fibre_metric, LSE2D, WL.AFFINE_IDS,
+        {"pointwise-compatibility"}),
     "L-0-1-scaled": (
         liealg, "L", scaled_pairing, ["rep-check", "--n", "1"], WL.REP_IDS,
         {"bracket-family-1", "bracket-family-2", "bracket-family-3"}),
@@ -125,9 +166,13 @@ def test_planted_fault_fails_exactly_its_records(capsys, monkeypatch, module,
             if c["verdict"] == "FAIL"} == failing
 
 
-# The pinned fm records that no planted fault flips, each with its reason.
+# The pinned records that no planted fault flips, each with its reason.
 # The list may only shrink: a record leaves it when some row fails it.
 UNFLIPPED = {
+    "fibre-volume-product": "identically 1 on every finite positive-"
+                            "definite g: the volume of the unit quotient "
+                            "times that of its metric-dual quotient is "
+                            "sqrt(det g det g^-1) (ROADMAP item 11)",
     "refinement-stability": "identically 0 at every allowed --samples: "
                             "the fibre integral is exact, so doubling the "
                             "sample count changes nothing",
@@ -160,4 +205,4 @@ def test_kernel_fault_reaches_the_transform(capsys, monkeypatch, name, fault,
     assert code == 0
     assert sorted(c["id"] for c in report["checks"]) == sorted(WL.FM_IDS)
     assert {c["id"] for c in report["checks"]
-            if c["verdict"] == "PASS"} == set(UNFLIPPED)
+            if c["verdict"] == "PASS"} == set(UNFLIPPED) & set(WL.FM_IDS)

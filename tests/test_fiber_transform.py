@@ -15,7 +15,7 @@ from selfdual.charts import FieldStructure, build_XY
 from selfdual.derham import FourierForm, d
 from selfdual.elliptic import EllipticParams, build_X
 from selfdual.fiber_transform import (
-    full_transform, transform, transform_back,
+    degree_note, full_transform, transform, transform_back,
 )
 
 SQUARE = EllipticParams(1j, 1j)
@@ -74,7 +74,9 @@ def test_transform_of_dx():
 def test_degree_floor_flagged():
     out = transform(one_form(), 0, X_square())
     assert out.terms == {}
-    assert "degree" in out.note
+    assert degree_note(one_form(), 0) == ("degree 0 maps outside the "
+                                          "carrier (target -1); "
+                                          "contribution dropped")
 
 
 def test_degree_bookkeeping_exhaustive():
@@ -87,8 +89,11 @@ def test_degree_bookkeeping_exhaustive():
             target = i + 2 * j - 1
             for grade in out.grades():
                 assert grade == target
+            note = degree_note(alpha, j)
             if target < 0 or target > 2:
-                assert out.note and "degree" in out.note
+                assert note and "degree" in note
+            else:
+                assert note is None
 
 
 def test_round_trip_signs_per_grade():
@@ -123,11 +128,11 @@ def test_output_scales_with_fibre_length():
         p = EllipticParams(complex(0, rng.uniform(0.2, 5)),
                            complex(0, rng.uniform(0.2, 5)))
         data, X = build_X(p)
-        alpha = FourierForm.constant(2, {0: 1.0}, periods=[p.tau2, 1.0])
+        alpha = FourierForm.constant(2, {0: 1.0}, periods=[p.tau.imag, 1.0])
         out = transform(alpha, 1, X)
         coeff = out.terms[(0, 0)][0b10][0]
         assert abs(coeff - data.ell_2) < 1e-12
-        beta = FourierForm.constant(2, {0: 1.0}, periods=[p.tau2, 1.0])
+        beta = FourierForm.constant(2, {0: 1.0}, periods=[p.tau.imag, 1.0])
         back = transform_back(beta, 1, X)
         # back direction picks up the conventional sign flip
         assert abs(back.terms[(0, 0)][0b10][0] + data.ell_1) < 1e-12
@@ -192,8 +197,8 @@ def test_zero_form_maps_to_zero():
 
 def brute_force_transform(alpha, j, X, x, y2, samples=400):
     """Riemann sum of the contracted integrand, built from Multivectors."""
-    OD = Multivector.two_form(X.omegaD.at([0.0, 0.0, 0.0]))
-    h = X.h.at([0.0, 0.0, 0.0])
+    OD = Multivector.two_form(X.form_at("omegaD", [0.0, 0.0, 0.0]))
+    h = X.metric_at([0.0, 0.0, 0.0])
     psi_const = Multivector.scalar(3, 1.0)
     for _ in range(j):
         psi_const = wedge(psi_const, OD)

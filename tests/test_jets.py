@@ -1,10 +1,32 @@
 """Jet arithmetic tests against sympy-computed exact derivatives."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 import sympy as sp
 
-from selfdual.jets import Jet, jet_space, jet_matrix_inverse, variables
+from selfdual.jets import (
+    Jet, _monomials, jet_space, jet_matrix_inverse, variables,
+)
+
+
+# every (variables, order) of a jet space that this test suite builds,
+# the total spaces of charts with 1, 2, 3 and 6 base axes included
+REACHED = [(1, 0), (1, 2), (1, 3), (1, 4), (1, 6), (2, 0), (2, 2), (2, 3),
+           (2, 4), (3, 0), (3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (4, 3),
+           (6, 0), (6, 1), (6, 2), (6, 3), (6, 4), (9, 0), (9, 1), (18, 0),
+           (18, 1)]
+
+
+@pytest.mark.parametrize("nvars,order", REACHED)
+def test_monomials_match_the_filtered_enumeration(nvars, order):
+    # every tuple of (order + 1)**nvars, filtered by degree and sorted
+    want = []
+    for total in range(order + 1):
+        want += sorted((m for m in product(range(total + 1), repeat=nvars)
+                        if sum(m) == total), reverse=True)
+    assert _monomials(nvars, order) == want
 
 
 def sympy_derivative(expr, syms, point, exponents):

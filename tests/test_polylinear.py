@@ -14,7 +14,7 @@ from selfdual import polylinear as pl
 from selfdual.polylinear import (
     Degenerate, NotCompatible, NotPolysymplectic, PolyStructure, deform,
     dualizing_form, dualizing_form_from_basis, is_compatible, normal_form,
-    pulled_back, rotate_structure, standard_basis,
+    normal_form_residual, pulled_back, rotate_structure, standard_basis,
 )
 
 
@@ -74,9 +74,7 @@ def test_kernel_dimension_matches_rank_oracle():
 
 def test_standard_basis_identity_on_normal_form():
     P = normal_form(2, 2)
-    sb = standard_basis(P)
-    np.testing.assert_allclose(sb.matrix, np.eye(6), atol=1e-10)
-    assert sb.orthonormal
+    np.testing.assert_allclose(standard_basis(P), np.eye(6), atol=1e-10)
 
 
 def test_standard_basis_on_random_pullbacks():
@@ -87,8 +85,7 @@ def test_standard_basis_on_random_pullbacks():
         s = int(rng.integers(1, 4))
         d = n * (s + 1)
         P = pulled_back(normal_form(n, s, metric=False), well_conditioned(rng, d))
-        sb = standard_basis(P)
-        assert sb.normal_form_residual(P) < 1e-9
+        assert normal_form_residual(P, standard_basis(P)) < 1e-9
         count += 1
     assert count == 100
 
@@ -117,9 +114,9 @@ def test_single_form_agrees_with_schur_oracle():
     for n in (1, 2, 3):
         P = pulled_back(normal_form(n, 1, metric=False), well_conditioned(rng, 2 * n))
         A = P.matrices[0]
-        sb = standard_basis(P)
+        B = standard_basis(P)
         C = pl._canonical_matrix(n, 1, 1)
-        assert np.max(np.abs(sb.matrix.T @ A @ sb.matrix - C)) < 1e-9
+        assert np.max(np.abs(B.T @ A @ B - C)) < 1e-9
         oracle = schur_pairing_oracle(A)
         assert np.max(np.abs(oracle.T @ A @ oracle - C)) < 1e-9
         assert np.linalg.matrix_rank(A, tol=1e-8) == 2 * n
@@ -130,9 +127,9 @@ def test_single_form_decisions_are_scale_free(c):
     rng = np.random.default_rng(14)
     P = pulled_back(normal_form(2, 1, metric=False), well_conditioned(rng, 4))
     A = c * P.matrices[0]
-    sb = standard_basis(PolyStructure(2, 1, [A]))
+    B = standard_basis(PolyStructure(2, 1, [A]))
     want = pl._canonical_matrix(2, 1, 1)
-    assert np.max(np.abs(sb.matrix.T @ A @ sb.matrix - want)) < 1e-9
+    assert np.max(np.abs(B.T @ A @ B - want)) < 1e-9
     # a symmetric part as large as 1e-6 of the form is no roundoff
     bent = A + 1e-6 * c * np.eye(4)
     with pytest.raises(ValueError, match="antisymmetric"):
@@ -146,7 +143,7 @@ def test_standard_basis_is_scale_free(n, s, c):
     P = pulled_back(normal_form(n, s, metric=False),
                     well_conditioned(rng, n * (s + 1)))
     Q = PolyStructure(n, s, [c * A for A in P.matrices])
-    assert standard_basis(Q).normal_form_residual(Q) < 1e-13
+    assert normal_form_residual(Q, standard_basis(Q)) < 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +152,8 @@ def test_standard_basis_is_scale_free(n, s, c):
 
 def test_compatible_normal_form_euclidean():
     res = is_compatible(normal_form(2, 2))
-    assert res.compatible and res.basis.orthonormal
+    assert res.compatible
+    np.testing.assert_allclose(res.basis.T @ res.basis, np.eye(6), atol=1e-12)
     assert res.residual < 1e-12
 
 
@@ -173,7 +171,7 @@ def test_compatible_random_pullback():
         P = pulled_back(normal_form(n, 2), well_conditioned(rng, 3 * n))
         res = is_compatible(P)
         assert res.compatible
-        B = res.basis.matrix
+        B = res.basis
         assert np.max(np.abs(B.T @ P.metric @ B - np.eye(3 * n))) < 1e-9
 
 
@@ -190,7 +188,7 @@ def test_decisions_hold_at_every_scale_of_the_mirror_metric(s):
     P = F.structure_at(np.zeros(3))
     res = is_compatible(P)
     assert res.compatible and res.residual < 1e-14
-    assert standard_basis(P).normal_form_residual(P) < 1e-14
+    assert normal_form_residual(P, standard_basis(P)) < 1e-14
     D = dualizing_form(P)
     assert np.argwhere(np.triu(D, 1)).tolist() == [[1, 2]]
     assert abs(D[1, 2] - 1.0) < 1e-14
@@ -219,8 +217,7 @@ def test_dualizing_form_witness_independence():
     for _ in range(100):
         R = np.linalg.qr(rng.normal(size=(n, n)))[0]
         block = scipy.linalg.block_diag(R, R, R)
-        rotated = pl.StandardBasis(n, 2, res.basis.matrix @ block, orthonormal=True)
-        out = dualizing_form_from_basis(rotated)
+        out = dualizing_form_from_basis(res.basis @ block)
         assert form_norm(out - base) < 1e-10
 
 
@@ -231,6 +228,8 @@ def test_dualizing_form_requires_compatibility():
         dualizing_form(P)
     with pytest.raises(ValueError):
         dualizing_form(normal_form(1, 3))
+    with pytest.raises(ValueError, match="two fibre blocks"):
+        dualizing_form_from_basis(np.eye(4))
 
 
 # ---------------------------------------------------------------------------
