@@ -181,17 +181,11 @@ class PotentialChart:
         return self.potential.jet(variables(space, x))
 
     def hessian(self, x):
-        """Raw second-derivative matrix by jets, no definiteness gate."""
+        """Raw second-derivative matrix by jets, row i read off d_i K; no
+        definiteness gate."""
         K = self.jet(x, 2)
-        n = self.n
-        H = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                e = [0] * n
-                e[i] += 1
-                e[j] += 1
-                H[i, j] = H[j, i] = K.derivative(tuple(e))
-        return H
+        return np.array([K.partial(i).first_order()[1:]
+                         for i in range(self.n)])
 
 
 def _require_definite(H, x):

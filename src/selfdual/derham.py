@@ -36,6 +36,15 @@ def _canonical(k):
     return k, 0.0
 
 
+def _integers(entries, name):
+    """A table's list of integers: 2.0 reads as 2, a bool is refused."""
+    if not isinstance(entries, list) or not all(
+            isinstance(e, int) and not isinstance(e, bool)
+            or isinstance(e, float) and e.is_integer() for e in entries):
+        raise ValueError(f"{name} must be a list of integers, got {entries!r}")
+    return [int(e) for e in entries]
+
+
 class FourierForm:
     """Rows of coefficients, one per frequency mode.
 
@@ -112,13 +121,13 @@ class FourierForm:
         """Read the coefficient_table layout; coefficients must be finite."""
         table = {}
         for row in rows:
-            axes = [int(axis) for axis in row.get("axes", [])]
+            axes = _integers(row.get("axes", []), "axes")
             if axes != sorted(set(axes)) or not set(axes) <= set(range(dim)):
                 raise ValueError(f"axes {axes} must ascend in 0..{dim - 1}")
             ab = (float(row.get("cos", 0.0)), float(row.get("sin", 0.0)))
             if not np.all(np.isfinite(ab)):
                 raise ValueError("coefficients must be finite")
-            k = tuple(map(int, row.get("freq", [0] * dim)))
+            k = tuple(_integers(row.get("freq", [0] * dim), "freq"))
             table.setdefault(k, {})[ext.axes_mask(axes)] = ab
         return cls(dim, table, periods)
 

@@ -20,13 +20,6 @@ from . import exterior as ext
 from . import polylinear as pl
 from . import report as rp
 
-SELF_DUAL_TOL = 1e-9
-
-
-class NotSelfDual(ValueError):
-    """Fibre lengths fail the unit-volume constraint."""
-
-
 def _check_upper(z, name):
     z = complex(z)
     if not z.imag > 0:
@@ -61,26 +54,15 @@ class EllipticParams:
 
 @dataclass
 class SelfDualTorusData:
-    """Metric invariants of the glued torus.
-
-    base_length > 0 and ell_1 * ell_2 = 1 are required of valid data;
-    validate() enforces them, consumers call it before inverting.
-    """
+    """Metric invariants of the glued torus. The unit fibre volume
+    ell_1 * ell_2 = 1 is not enforced here: the `unit-volume` and
+    `full-unit_fibre_volume` records check it."""
 
     base_length: float
     ell_1: float
     ell_2: float
     theta_1: float
     theta_2: float
-
-    def validate(self):
-        if not self.base_length > 0:
-            raise ValueError("base length must be positive")
-        if min(self.ell_1, self.ell_2) <= 0:
-            raise ValueError("fibre lengths must be positive")
-        if abs(self.ell_1 * self.ell_2 - 1.0) > SELF_DUAL_TOL:
-            raise NotSelfDual(
-                f"fibre length product {self.ell_1 * self.ell_2} != 1")
 
 
 def circle_distance(a, b):
@@ -128,7 +110,6 @@ def recover_mirror_pair(d):
     same with the roles exchanged. Real parts come back as their
     representatives in [0, 1).
     """
-    d.validate()
     first = EllipticParams(
         complex(d.theta_2 % 1.0 % 1.0, d.base_length * d.ell_1),
         complex(d.theta_1 % 1.0 % 1.0, d.base_length * d.ell_2))
@@ -190,12 +171,12 @@ def selfdual_full_check(data, F):
         F.jets(point, 1)[name])) for name in ch.FORMS)
     cov = rp.worst(ch.covariant_constancy(F, point))
 
-    P = F.structure_at(point)
     try:
+        P = F.structure_at(point)
         rotated = [pl.rotate_structure(P, "D1"), pl.rotate_structure(P, "2D"),
                    pl.rotate_structure(pl.rotate_structure(P, "D1"), "D1")]
         rot_res = rp.worst(pl.is_compatible(Q).residual for Q in rotated)
-    except (pl.NotCompatible, ext.GeometryError):
+    except ext.GeometryError:
         rot_res = np.inf
 
     return [

@@ -115,10 +115,3 @@ def transform_back(beta, j, X, samples=64):
     """The mirror transform, from the (x, y2) torus back to (x, y1)."""
     return _graded_transform(beta, j, X, fibre_axis=2, kept_axis=1,
                              samples=samples)
-
-
-def full_transform(alpha, X, samples=64, back=False):
-    """Sum of the graded pieces over all j with nonzero dual power."""
-    step = transform_back if back else transform
-    return (step(alpha, 0, X, samples=samples)
-            + step(alpha, 1, X, samples=samples))

@@ -11,7 +11,6 @@ build sources with enough headroom for every partial you plan to take.
 """
 
 from functools import lru_cache
-from math import factorial
 
 import numpy as np
 
@@ -111,16 +110,6 @@ class Jet:
     @property
     def value(self):
         return float(self.c[0])
-
-    def coefficient(self, exponents):
-        return float(self.c[self.space.index[tuple(exponents)]])
-
-    def derivative(self, exponents):
-        """Mixed partial of the represented function at the base point."""
-        scale = 1.0
-        for e in exponents:
-            scale *= factorial(e)
-        return scale * self.coefficient(exponents)
 
     def first_order(self):
         """The value, then the first partials along each variable: the

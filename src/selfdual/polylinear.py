@@ -5,7 +5,8 @@ dimension n(s+1), each of rank 2n, whose kernels are as independent as
 possible.  The module builds normal-form bases, tests whether a metric is
 adapted to the forms, produces the degree-2 dualizing form for s=2, and
 implements the length-rescaling deformations and the rotation that swaps
-the dualizing form into the pair.
+the dualizing form into the pair. A `PolyStructure` is checked when
+built, so the functions here take its ranks and kernel blocks as given.
 
 A basis is the plain matrix of its columns v_1..v_n, w^1_1..w^s_n:
 `standard_basis` returns one, `is_compatible` carries the orthonormal
@@ -94,14 +95,17 @@ def _canonical_matrix(n, s, j):
 
 
 class PolyStructure:
-    """s 2-forms of rank 2n on dimension n(s+1), plus an optional metric."""
+    """s 2-forms of rank 2n on dimension n(s+1), plus an optional metric,
+    checked when built: NotPolysymplectic unless each form has rank 2n
+    and, for s >= 2, kernel_blocks[j] (the joint kernel of the forms but
+    the j-th) have dimension n each and independent sum."""
 
     def __init__(self, n, s, omegas, metric=None):
-        self.n = int(n)
-        self.s = int(s)
-        self.dim = self.n * (self.s + 1)
-        if len(omegas) != self.s:
-            raise ValueError(f"expected {self.s} forms, got {len(omegas)}")
+        self.n = n = int(n)
+        self.s = s = int(s)
+        self.dim = n * (s + 1)
+        if len(omegas) != s:
+            raise ValueError(f"expected {s} forms, got {len(omegas)}")
         mats = []
         for om in omegas:
             A = _as_matrix(om)
@@ -115,40 +119,19 @@ class PolyStructure:
             metric = np.asarray(metric, dtype=float)
             ext._check_metric(metric, self.dim)
         self.metric = metric
-        self._fj = None
-
-    def kernel_blocks(self):
-        """Per-form blocks: intersection of the kernels of the other forms."""
-        if self._fj is not None:
-            return self._fj
-        n, s, d = self.n, self.s, self.dim
-        if s == 1:
-            raise NotPolysymplectic("kernel blocks need at least two forms")
-        blocks = []
-        for j in range(s):
-            stacked = np.vstack([self.matrices[k] for k in range(s) if k != j])
-            blocks.append(_nullspace(stacked))
-        self._fj = blocks
-        return blocks
-
-    def kernel_sum(self):
-        return np.hstack(self.kernel_blocks())
-
-    def validate(self):
-        n, s, d = self.n, self.s, self.dim
-        for j, A in enumerate(self.matrices):
+        for j, A in enumerate(mats):
             r = _rank(A)
             if r != 2 * n:
                 raise NotPolysymplectic(
                     f"form {j + 1} has rank {r}, expected {2 * n}")
-        if s == 1:
-            return
-        for j, Fj in enumerate(self.kernel_blocks()):
+        self.kernel_blocks = [] if s == 1 else [
+            _nullspace(np.vstack(mats[:j] + mats[j + 1:])) for j in range(s)]
+        for j, Fj in enumerate(self.kernel_blocks):
             if Fj.shape[1] != n:
                 raise NotPolysymplectic(
                     f"joint kernel block {j + 1} has dimension "
                     f"{Fj.shape[1]}, expected {n}")
-        if _rank(self.kernel_sum()) != n * s:
+        if s > 1 and _rank(np.hstack(self.kernel_blocks)) != n * s:
             raise NotPolysymplectic("kernel blocks are not independent")
 
 
@@ -164,7 +147,7 @@ def normal_form_residual(P, B):
 def _dual(P, j, v):
     """F_j (v^T A_j F_j)^-1: the basis w of kernel block j (0-based) with
     v^T A_j w = I."""
-    F = P.kernel_blocks()[j]
+    F = P.kernel_blocks[j]
     M = v.T @ P.matrices[j] @ F
     if _rank(M) < P.n:
         raise Degenerate(f"kernel block {j + 1} pairs degenerately")
@@ -200,7 +183,6 @@ def standard_basis(P):
     structure's metric when present and Euclidean otherwise, then corrected
     to be isotropic for each form.
     """
-    P.validate()
     if P.s == 1:
         B = _darboux_basis(P.matrices[0])
         # the Darboux blocks are of unit size: the residual needs no scale
@@ -208,9 +190,9 @@ def standard_basis(P):
             raise Degenerate("pairing construction failed to reach normal form")
         return B
 
-    Fj = P.kernel_blocks()
+    Fj = P.kernel_blocks
     g = P.metric if P.metric is not None else np.eye(P.dim)
-    # validate() fixed the rank of the kernel sum, so W0 has n columns
+    # the constructor fixed the rank of the kernel sum, so W0 has n columns
     W0 = _orthocomplement(g, np.hstack(Fj))
 
     scale = max(np.max(np.abs(A)) for A in P.matrices)
@@ -254,10 +236,9 @@ def is_compatible(P):
         raise ValueError("structure has no metric")
     if P.s == 1:
         raise ValueError("compatibility test needs at least two forms")
-    P.validate()
     g = P.metric
 
-    Wg = _orthocomplement(g, P.kernel_sum())
+    Wg = _orthocomplement(g, np.hstack(P.kernel_blocks))
     gram = Wg.T @ g @ Wg
     L = np.linalg.cholesky(gram)
     v = Wg @ np.linalg.inv(L).T

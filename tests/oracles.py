@@ -4,10 +4,13 @@ None of this runs in a report. Each reference takes a separate path
 from the code it checks: a sparse `Multivector` whose wedge takes its
 sign from inversion counts and whose contraction from axis positions,
 not from the one-axis kernels; Gram determinants for the pairing of
-forms; central differences for derivatives; the flat-factor product for
+forms; central differences for derivatives, and Taylor coefficients
+times factorials for the jets' derivatives; the flat-factor product for
 the torus family; and the mode formula for the Laplacian. Every name
 here is imported by some test module.
 """
+
+from math import factorial
 
 import numpy as np
 
@@ -210,6 +213,16 @@ def form_norm(A):
 
 # ---------------------------------------------------------------------------
 # derivatives
+
+
+def jet_derivative(jet, exponents):
+    """The mixed partial of a jet's function at its base point, read
+    from the Taylor coefficient of the monomial, times the factorials of
+    its exponents."""
+    scale = 1.0
+    for e in exponents:
+        scale *= factorial(e)
+    return scale * float(jet.c[jet.space.index[tuple(exponents)]])
 
 
 def exterior_derivative_fd(F, name, p, step=1e-4):

@@ -551,6 +551,32 @@ def test_fm_inline_json_alpha(capsys):
     assert out == [{"axes": [], "freq": [1, 0], "cos": 1.0, "sin": 0.0}]
 
 
+# a table entry that is not an integer is refused, not rounded or split
+NOT_INTEGERS = {
+    "freq-half": {"axes": [1], "freq": [0.5, 0]},
+    "freq-fraction": {"axes": [1], "freq": [1.9, 0]},
+    "freq-string": {"axes": [1], "freq": "12"},
+    "freq-bool": {"axes": [1], "freq": [True, 0]},
+    "axes-string": {"axes": "01"},
+}
+
+
+@pytest.mark.parametrize("term", NOT_INTEGERS.values(),
+                         ids=NOT_INTEGERS.keys())
+def test_fm_table_entries_must_be_integers(capsys, term):
+    assert_config_error(
+        capsys, FM + ["--alpha", json.dumps({"terms": [term]})])
+
+
+def test_fm_table_reads_integral_floats(capsys):
+    tables = [json.dumps({"terms": [{"axes": axes, "freq": freq}]})
+              for axes, freq in (([1], [1, 0]), ([1.0], [1.0, 0.0]))]
+    (code, want), (float_code, got) = [
+        run_json(capsys, FM + ["--alpha", table]) for table in tables]
+    assert code == float_code == 0
+    assert got["data"] == want["data"]
+
+
 def test_rep_check_dimensions(capsys):
     code, rep = run_json(capsys, ["rep-check", "--n", "1"])
     assert code == 0

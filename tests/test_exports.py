@@ -53,7 +53,6 @@ KEPT = {
     "polylinear.deform": "criterion 5: dual form under deformation",
     "polylinear.dualizing_form": "criterion 5: witness independence",
     "fiber_transform.transform_back": "criterion 7: the inverse transform",
-    "fiber_transform.full_transform": "demo 04",
     "derham.FourierForm.constant": "criterion 7 and demo 04: the constant "
                                    "input forms",
     "liealg.trace_form": "ROADMAP item 5: the Howe-duality oracle",

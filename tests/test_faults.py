@@ -19,6 +19,7 @@ from selfdual import charts as ch
 from selfdual import elliptic as el
 from selfdual import exterior as ext
 from selfdual import liealg
+from selfdual import polylinear as pl
 from selfdual.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -41,6 +42,24 @@ def shifted_angle(build_X):
     def faulty(p):
         data, F = build_X(p)
         return dataclasses.replace(data, theta_1=data.theta_1 + 0.01), F
+    return faulty
+
+
+def scaled_y1_circle(circle_lengths):
+    """The y1 circle lengths scaled by 1.01, the structure unchanged."""
+    def faulty(self):
+        lengths = circle_lengths(self).copy()
+        lengths[self.n : 2 * self.n] *= 1.01
+        return lengths
+    return faulty
+
+
+def scaled_first_column(standard_basis):
+    """Column 0 of the normal-form basis scaled by 1 + 1e-6."""
+    def faulty(P):
+        B = standard_basis(P).copy()
+        B[:, 0] *= 1 + 1e-6
+        return B
     return faulty
 
 
@@ -117,6 +136,16 @@ FAULTS = {
         el, "build_X", shifted_angle,
         ["mirror", "--tau", "0+1i", "--t", "0+0.5i"], WL.MIRROR_IDS,
         {"mirror-round-trip"}),
+    # the lengths multiply to 1.01: the round trip reads ell_2 back as
+    # Im t, and both unit-volume records read the product
+    "circle_lengths-y1-scaled": (
+        ch.FieldStructure, "circle_lengths", scaled_y1_circle,
+        ["mirror", "--tau", "0+1i", "--t", "0+1i"], WL.MIRROR_IDS,
+        {"mirror-round-trip", "unit-volume", "full-unit_fibre_volume"}),
+    "standard_basis-column-0-scaled": (
+        pl, "standard_basis", scaled_first_column,
+        ["verify-pointwise", "--trials", "3"], WL.POINTWISE_IDS[:3],
+        set(WL.POINTWISE_IDS[:3])),
     "omegaD-correction-negated": (
         ch._ChartJets, "at", negated_correction, LSE2D, WL.AFFINE_IDS,
         {"dual-form-closed"}),

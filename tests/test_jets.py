@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from oracles import jet_derivative
 from selfdual.jets import (
     Jet, _monomials, jet_space, jet_matrix_inverse, variables,
 )
@@ -44,7 +45,8 @@ def test_polynomial_jet_exact():
     expr = xs**3 * ys + 2 * xs * ys**2 - xs + 7
     for m in space.monomials:
         want = sympy_derivative(expr, (xs, ys), (1.5, -0.5), m)
-        assert abs(f.derivative(m) - want) < 1e-10 * max(1.0, abs(want))
+        assert abs(jet_derivative(f, m) - want) < \
+            1e-10 * max(1.0, abs(want))
 
 
 def test_exp_log_sqrt_inverse_chain():
@@ -60,7 +62,8 @@ def test_exp_log_sqrt_inverse_chain():
     for _ in range(30):
         m = tuple(int(v) for v in rng.multinomial(int(rng.integers(0, 6)), [1 / 3] * 3))
         want = sympy_derivative(expr, (xs, ys, zs), pt, m)
-        assert abs(f.derivative(m) - want) < 1e-9 * max(1.0, abs(want))
+        assert abs(jet_derivative(f, m) - want) < \
+            1e-9 * max(1.0, abs(want))
 
 
 def test_division_and_power():
@@ -71,7 +74,8 @@ def test_division_and_power():
     expr = (xs**4 + 1) / (xs - 1)
     for k in range(7):
         want = sympy_derivative(expr, (xs,), (2.0,), (k,))
-        assert abs(f.derivative((k,)) - want) < 1e-8 * max(1.0, abs(want))
+        assert abs(jet_derivative(f, (k,)) - want) < \
+            1e-8 * max(1.0, abs(want))
 
 
 def test_partial_shifts_taylor_table():
@@ -85,7 +89,8 @@ def test_partial_shifts_taylor_table():
         if sum(m) > 3:
             continue  # one order lost per derivative
         want = sympy_derivative(expr, (xs, ys), (0.7, 0.1), m)
-        assert abs(fx.derivative(m) - want) < 1e-10 * max(1.0, abs(want))
+        assert abs(jet_derivative(fx, m) - want) < \
+            1e-10 * max(1.0, abs(want))
 
 
 @pytest.mark.parametrize("order", [1, 3])
@@ -105,9 +110,9 @@ def test_embed_into_larger_space():
     f = x * x * y + y
     g = f.embed(big, [1, 3])
     assert abs(g.value - f.value) < 1e-14
-    assert abs(g.derivative((0, 2, 0, 1)) - f.derivative((2, 1))) < 1e-12
-    assert abs(g.derivative((0, 0, 0, 1)) - f.derivative((0, 1))) < 1e-12
-    assert g.derivative((1, 0, 0, 0)) == 0.0
+    for big, small in (((0, 2, 0, 1), (2, 1)), ((0, 0, 0, 1), (0, 1))):
+        assert abs(jet_derivative(g, big) - jet_derivative(f, small)) < 1e-12
+    assert jet_derivative(g, (1, 0, 0, 0)) == 0.0
 
 
 def test_jet_matrix_inverse_against_numpy():
@@ -142,7 +147,7 @@ def test_inverse_derivative_matches_symbolic():
     for i in range(2):
         for j in range(2):
             want = float(sp.diff(Ainv[i, j], xs).subs(xs, 0.3))
-            assert abs(inv[i][j].derivative((1,)) - want) < 1e-10
+            assert abs(jet_derivative(inv[i][j], (1,)) - want) < 1e-10
 
 
 def test_error_paths():

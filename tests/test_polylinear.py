@@ -92,9 +92,8 @@ def test_standard_basis_on_random_pullbacks():
 
 def test_standard_basis_equal_forms_rejected():
     P = normal_form(1, 2)
-    bad = PolyStructure(1, 2, [P.matrices[0], P.matrices[0]])
     with pytest.raises(NotPolysymplectic):
-        standard_basis(bad)
+        PolyStructure(1, 2, [P.matrices[0], P.matrices[0]])
 
 
 def test_standard_basis_nonisotropic_kernel_block_rejected():
