@@ -173,9 +173,15 @@ def selfdual_full_check(data, F):
 
     try:
         P = F.structure_at(point)
-        rotated = [pl.rotate_structure(P, "D1"), pl.rotate_structure(P, "2D"),
-                   pl.rotate_structure(pl.rotate_structure(P, "D1"), "D1")]
-        rot_res = rp.worst(pl.is_compatible(Q).residual for Q in rotated)
+        witness = pl.witness(P)
+        D1 = pl.rotate_structure(P, "D1", witness)
+        d1 = pl.is_compatible(D1)
+        # an incompatible D1 has no basis, so rotate_structure retests it
+        # and raises NotCompatible
+        results = [d1,
+                   pl.is_compatible(pl.rotate_structure(P, "2D", witness)),
+                   pl.is_compatible(pl.rotate_structure(D1, "D1", d1.basis))]
+        rot_res = rp.worst(r.residual for r in results)
     except ext.GeometryError:
         rot_res = np.inf
 

@@ -11,14 +11,16 @@ Each operator is gathered from the signed axis tables of the one-axis
 wedge and contraction maps (`exterior.axis_table`), which own the sign
 rule; the result is a dense matrix. Each is a sum of products of
 fermionic creation and annihilation operators, so it is very sparse (at
-n = 3, 384 nonzeros among 512 x 512 entries). Operators stay dense
-wherever they are passed around, but above DENSE_MAX basis masks
-`commutator` and `closure_basis` take their products through the
-nonzero entries, and a bracket comes back as a CSR array.
+n = 3, 384 nonzeros among 512 x 512 entries). Above DENSE_MAX basis
+masks the bracket checks convert each operator once to a `SignedSparse`
+(its nonzero entries, in plain numpy) and take every product through
+those entries; a bracket there comes back in that form. At n = 3 one
+`rep-check` takes about 0.23 s in process (2-core host, one BLAS
+thread): 0.12 s for its 1110 commutators, 0.03 s for the closure's span
+test and 0.02 s for building the 52 operators.
 """
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import exterior as ext
 from . import report as rp
@@ -27,9 +29,9 @@ CARTAN_A3 = np.array([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
 CLOSURE_TOL = 1e-9
 CLOSURE_ROUNDS = 50
 # Largest operator side bracketed as dense products. Measured per
-# commutator of two dense L (2-core host, one BLAS thread), converting
-# included: 35 us dense and 0.31 ms as CSR at 64 x 64, 17 ms dense and
-# 0.89 ms as CSR at 512 x 512.
+# commutator of two L (2-core host, one BLAS thread): at 64 x 64, 24 us
+# dense and 58 us signed (90 us converting both operands first); at
+# 512 x 512, 12 ms dense and 0.14 ms signed (1.9 ms converting first).
 DENSE_MAX = 64
 
 
@@ -73,28 +75,116 @@ def L(n, alpha, beta, s=2):
     return M
 
 
-def _sparse_if_large(M):
-    """M as a CSR array over its nonzero entries (NaN and inf among them)
-    when its side exceeds DENSE_MAX; smaller or already-sparse M as it is.
+class SignedSparse:
+    """An N x N operator as its nonzero entries: the flat keys row * N + col
+    in ascending order, with their float64 values (NaN and inf among them).
 
-    Built from the flat nonzero positions: 0.24 ms on a dense 512 x 512
-    L, against 2.3 ms for `scipy.sparse.csr_array(M)`.
+    It carries what the bracket checks use of a dense array: sums,
+    differences, scalar multiples, `abs` and `max`. `shape`, `size` (N * N,
+    as for a dense array) and `!= 0` are what the benchmark's bracket hook
+    reads of an operand.
     """
-    if M.shape[0] <= DENSE_MAX or sp.issparse(M):
+
+    __slots__ = ("side", "keys", "values")
+    # numpy scalars defer to __rmul__ instead of broadcasting over the object
+    __array_ufunc__ = None
+
+    def __init__(self, side, keys, values):
+        self.side, self.keys, self.values = side, keys, values
+
+    @classmethod
+    def from_dense(cls, M):
+        flat = M.ravel()
+        keys = np.flatnonzero(flat)
+        return cls(M.shape[0], keys, flat[keys])
+
+    @property
+    def shape(self):
+        return (self.side, self.side)
+
+    @property
+    def size(self):
+        return self.side * self.side
+
+    def __ne__(self, zero):
+        """The stored entries against 0; `.sum()` counts the nonzero ones."""
+        if zero != 0:
+            raise ValueError("only != 0 is defined on a SignedSparse")
+        return self.values != 0
+
+    def toarray(self):
+        M = np.zeros(self.size)
+        M[self.keys] = self.values
+        return M.reshape(self.shape)
+
+    def __add__(self, other):
+        return _merged(self.side, np.concatenate([self.keys, other.keys]),
+                       np.concatenate([self.values, other.values]))
+
+    def __sub__(self, other):
+        return self + other * -1
+
+    def __mul__(self, c):
+        return SignedSparse(self.side, self.keys, self.values * c)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, c):
+        return SignedSparse(self.side, self.keys, self.values / c)
+
+    def __abs__(self):
+        return SignedSparse(self.side, self.keys, np.abs(self.values))
+
+    def max(self):
+        """The largest entry, the zeros off the stored keys included; NaN
+        if any entry is NaN."""
+        implicit = 0.0 if len(self.keys) < self.size else -np.inf
+        return np.max(self.values, initial=implicit)
+
+
+def _merged(side, keys, values):
+    """The SignedSparse summing the values of equal keys; entries that sum
+    to 0 are dropped."""
+    keys, at = np.unique(keys, return_inverse=True)
+    values = np.bincount(at, weights=values, minlength=len(keys))
+    kept = values != 0
+    return SignedSparse(side, keys[kept], values[kept])
+
+
+def _product_entries(A, B):
+    """The keys and values of the products behind A @ B, unmerged: each
+    entry (i, k) of A meets every entry (k, j) of B, which is one run of
+    B's ascending keys."""
+    side = A.side
+    rows, inner = np.divmod(A.keys, side)
+    start = np.searchsorted(B.keys, inner * side)
+    count = np.searchsorted(B.keys, inner * side + side) - start
+    a = np.repeat(np.arange(len(A.keys)), count)
+    b = np.arange(len(a)) + np.repeat(start - np.cumsum(count) + count,
+                                      count)
+    return rows[a] * side + B.keys[b] % side, A.values[a] * B.values[b]
+
+
+def _signed_if_large(M):
+    """M as a SignedSparse when its side exceeds DENSE_MAX; smaller or
+    already-signed M as it is."""
+    if M.shape[0] <= DENSE_MAX or isinstance(M, SignedSparse):
         return M
-    flat = M.ravel()
-    at = np.flatnonzero(flat != 0)
-    rows, cols = np.divmod(at, M.shape[1])
-    indptr = np.searchsorted(rows, np.arange(M.shape[0] + 1))
-    return sp.csr_array((flat[at], cols, indptr), shape=M.shape)
+    return SignedSparse.from_dense(M)
 
 
 def commutator(A, B):
-    """[A, B]; a CSR array when the side exceeds DENSE_MAX. Products skip
-    zero entries there, so an inf entry meets no 0 and stays inf where
-    a dense product reads NaN."""
-    A, B = _sparse_if_large(A), _sparse_if_large(B)
-    return A @ B - B @ A
+    """[A, B]; a SignedSparse when the side exceeds DENSE_MAX, where a
+    dense operand is converted first. Products skip zero entries there,
+    so an inf entry meets no 0 and stays inf where a dense product reads
+    NaN."""
+    if A.shape[0] <= DENSE_MAX:
+        return A @ B - B @ A
+    A, B = _signed_if_large(A), _signed_if_large(B)
+    (keys_ab, values_ab), (keys_ba, values_ba) = (_product_entries(A, B),
+                                                  _product_entries(B, A))
+    return _merged(A.side, np.concatenate([keys_ab, keys_ba]),
+                   np.concatenate([values_ab, -values_ba]))
 
 
 def chevalley_basis(n):
@@ -128,28 +218,40 @@ def trace_form(mats):
 def closure_basis(gens):
     """Matrices spanning the Lie closure (Frobenius-normalized, dense).
 
-    The orthonormal basis behind the span test is kept in the brackets'
-    own form, CSR above DENSE_MAX, with Frobenius products `(v * b).sum()`.
+    The span test reads each bracket's nonzero entries: the orthonormal
+    basis is a dense (k x |support|) array over the sorted union of its
+    members' keys, and a candidate is projected out of it twice
+    (classical Gram-Schmidt with one reorthogonalization, CGS2).
     """
-    basis = []
+    support = np.zeros(0, dtype=np.intp)
+    basis = np.zeros((0, 0))
     mats = []
 
     def add(M):
-        v = _sparse_if_large(M)
-        scale = np.sqrt((v * v).sum())
+        nonlocal support, basis
+        v = M if isinstance(M, SignedSparse) else SignedSparse.from_dense(M)
+        scale = np.sqrt(v.values @ v.values)
         if scale <= CLOSURE_TOL:
             return False
-        for b in basis:
-            v = v - (v * b).sum() * b
-        nv = np.sqrt((v * v).sum())
-        if nv > CLOSURE_TOL * scale:
-            basis.append(v / nv)
-            mats.append((M.toarray() if sp.issparse(M) else M) / scale)
+        fresh = np.setdiff1d(v.keys, support, assume_unique=True)
+        if len(fresh):
+            grown = np.sort(np.concatenate([support, fresh]))
+            wide = np.zeros((len(basis), len(grown)))
+            wide[:, np.searchsorted(grown, support)] = basis
+            support, basis = grown, wide
+        x = np.zeros(len(support))
+        x[np.searchsorted(support, v.keys)] = v.values
+        for _ in range(2):
+            x -= (basis @ x) @ basis
+        nx = np.sqrt(x @ x)
+        if nx > CLOSURE_TOL * scale:
+            basis = np.vstack([basis, x / nx])
+            mats.append(M / scale)
             return True
         return False
 
     for M in gens:
-        add(np.asarray(M, dtype=float))
+        add(_signed_if_large(np.asarray(M, dtype=float)))
     for _ in range(CLOSURE_ROUNDS):
         grew = False
         snapshot = list(mats)
@@ -158,7 +260,8 @@ def closure_basis(gens):
                 if add(commutator(A, B)):
                     grew = True
         if not grew:
-            return mats
+            return [M.toarray() if isinstance(M, SignedSparse) else M
+                    for M in mats]
     raise RuntimeError(
         f"bracket closure did not stabilize in {CLOSURE_ROUNDS} rounds")
 
@@ -198,7 +301,8 @@ def verify_commutations(n, s=2):
     be thousands of lines for family 4).
     """
     labels = range(2 * (s + 1))
-    Ls = {(a, b): L(n, a, b, s) for a in labels for b in labels}
+    Ls = {(a, b): _signed_if_large(L(n, a, b, s))
+          for a in labels for b in labels}
     doms = relation_domains(s)
 
     def residual_1(t):
@@ -238,8 +342,8 @@ def verify_chevalley(n):
     and the tracelessness of the generators; one `chevalley-*` record
     each, the id taken from the relation's left side."""
     cb = chevalley_basis(n)
-    e, f, h = cb["e"], cb["f"], cb["h"]
-    gens = e + f + h
+    gens = cb["e"] + cb["f"] + cb["h"]
+    e, f, h = ([_signed_if_large(M) for M in cb[k]] for k in "efh")
     checks = []
 
     def row(relation, pairs, residual_fn):

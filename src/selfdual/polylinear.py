@@ -26,7 +26,7 @@ from .exterior import GeometryError
 __all__ = [
     "NotPolysymplectic", "Degenerate", "NotCompatible",
     "PolyStructure", "CompatibilityResult", "normal_form_residual",
-    "standard_basis", "is_compatible", "dualizing_form",
+    "standard_basis", "is_compatible", "witness", "dualizing_form",
     "dualizing_form_from_basis", "deform", "rotate_structure",
     "normal_form", "pulled_back", "two_form",
 ]
@@ -250,7 +250,7 @@ def is_compatible(P):
     return CompatibilityResult(ok, B if ok else None, res)
 
 
-def _witness(P):
+def witness(P):
     """The orthonormal witness basis of P, or NotCompatible."""
     res = is_compatible(P)
     if not res.compatible:
@@ -275,7 +275,7 @@ def dualizing_form(P):
     """The basis-independent 2-form pairing the two fibre coframes."""
     if P.s != 2:
         raise ValueError("dualizing form is defined only for s=2")
-    return dualizing_form_from_basis(_witness(P))
+    return dualizing_form_from_basis(witness(P))
 
 
 def deform(P, kind, t):
@@ -293,7 +293,7 @@ def deform(P, kind, t):
             metric=None if P.metric is None else t * P.metric)
     if P.s != 2:
         raise ValueError("alpha/beta deformations require s=2")
-    B = _witness(P)
+    B = witness(P)
     n = P.n
     if kind == "alpha":
         diag = [t] * n + [t] * n + [1.0 / t] * n
@@ -309,11 +309,14 @@ def deform(P, kind, t):
     return PolyStructure(P.n, P.s, forms, metric=gnew)
 
 
-def rotate_structure(P, mode):
-    """Swap the dualizing form into the pair: (om_D, om_1) or (om_2, om_D)."""
+def rotate_structure(P, mode, basis=None):
+    """Swap the dualizing form into the pair: (om_D, om_1) or (om_2, om_D).
+
+    `basis` is P's witness basis when the caller already has it; without
+    it P's compatibility is tested here."""
     if P.s != 2:
         raise ValueError("rotation requires s=2")
-    OD = dualizing_form_from_basis(_witness(P))
+    OD = dualizing_form_from_basis(witness(P) if basis is None else basis)
     if mode == "D1":
         forms = [OD, P.matrices[0]]
     elif mode == "2D":

@@ -189,6 +189,24 @@ def test_full_check_detects_corruption(monkeypatch):
     rows = selfdual_full_check(*build_X(EllipticParams(1j, 1j)))
     verdicts = {row["id"]: row["verdict"] for row in rows}
     assert verdicts["full-unit_fibre_volume"] == "FAIL"
+    # the corrupted structure has no witness, so no rotation is built
+    assert verdicts["full-rotations_selfdual"] == "FAIL"
+
+
+def test_full_check_tests_each_structure_once(monkeypatch):
+    # P, its D1 and 2D rotations and D1's own D1 rotation: P's witness
+    # and D1's compatibility result are each taken once
+    seen = []
+    clean = pl.is_compatible
+
+    def counted(P):
+        seen.append(P)
+        return clean(P)
+
+    monkeypatch.setattr(pl, "is_compatible", counted)
+    rows = selfdual_full_check(*build_X(EllipticParams(1j, 1j)))
+    assert all(row["verdict"] == "PASS" for row in rows), rows
+    assert len(seen) == 4
 
 
 def test_structure_is_compatible_with_unit_dual_form():

@@ -31,15 +31,31 @@ def test_exports_are_checked():
     assert sum(hasattr(m, "__all__") for m in MODULES) >= 2
 
 
-def test_cli_does_not_import_scipy_stats():
-    # scipy.stats takes about a second to import; the chart grids are
-    # built in numpy
+def test_cli_does_not_import_scipy():
+    # scipy is a test dependency only: the chart grids and the bracket
+    # products are numpy
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, selfdual.cli; "
-         "print('scipy.stats' in sys.modules)"],
+         "print(sorted(m for m in sys.modules if m.partition('.')[0] "
+         "== 'scipy'))"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
+
+
+# with sys.modules["scipy"] = None every import of scipy raises ImportError
+WITHOUT_SCIPY = ("import sys; sys.modules['scipy'] = None; "
+                 "from selfdual.cli import main; sys.exit(main())")
+
+
+@pytest.mark.parametrize("argv", [["all"], ["rep-check", "--n", "3"]],
+                         ids=" ".join)
+def test_reports_run_without_scipy(argv):
+    runs = [subprocess.run([sys.executable, *head, *argv],
+                           capture_output=True, text=True)
+            for head in (["-m", "selfdual.cli"], ["-c", WITHOUT_SCIPY])]
+    assert [run.returncode for run in runs] == [0, 0], runs[1].stderr
+    assert runs[1].stdout == runs[0].stdout
 
 
 # Every module-level function and every method in src/selfdual runs on
@@ -56,6 +72,8 @@ KEPT = {
     "derham.FourierForm.constant": "criterion 7 and demo 04: the constant "
                                    "input forms",
     "liealg.trace_form": "ROADMAP item 5: the Howe-duality oracle",
+    "liealg.SignedSparse.__ne__": "ROADMAP item 2: perfbench's commutator "
+                                  "hook reads it of each operand",
 }
 
 REACH_LINES = [
@@ -65,6 +83,7 @@ REACH_LINES = [
      str(Path(__file__).parents[1] / "demos" / "charts" / "lse2d.cfg"),
      "--points", "3"],
     ["mirror", "--tau", "0+1i", "--t", "0+1i"],
+    ["rep-check", "--n", "3"],  # the signed brackets above DENSE_MAX
     ["rep-check", "--n", "0"],  # a configuration error: _Parser.error
 ]
 

@@ -4,22 +4,21 @@ Oracles: the general exterior product/contraction routines applied to
 random multivectors (a separate code path from the one-axis bitmask maps
 that build the matrices), the canonical anticommutation table,
 brute-force closure for the generated dimension, and dense products for
-the brackets taken through nonzero entries above DENSE_MAX.
+the brackets taken through signed nonzero entries above DENSE_MAX.
 """
 
 import json
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from oracles import Multivector, contract, wedge
 from selfdual import liealg
 from selfdual.cli import main
 from selfdual.liealg import (
-    CARTAN_A3, L, bar, chevalley_basis, closure_basis, commutator,
-    generated_dimension, relation_domains, trace_form, verify_chevalley,
-    verify_commutations,
+    CARTAN_A3, L, SignedSparse, bar, chevalley_basis, closure_basis,
+    commutator, generated_dimension, relation_domains, trace_form,
+    verify_chevalley, verify_commutations,
 )
 
 
@@ -221,7 +220,7 @@ def test_closure_can_fail_to_converge(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# brackets through nonzero entries above DENSE_MAX
+# brackets through signed nonzero entries above DENSE_MAX
 
 
 def test_sparse_brackets_match_dense_products():
@@ -231,16 +230,51 @@ def test_sparse_brackets_match_dense_products():
     labels = [(a, b) for a in range(6) for b in range(6)]
     picks = rng.choice(len(labels), size=(12, 2))
     pairs = [(L(n, *labels[i]), L(n, *labels[j])) for i, j in picks]
-    # a zero bracket, and a dense operand against a CSR one as the
-    # ad(e_i)^2 rows pass them
-    pairs.append((L(n, 0, 1), L(n, 0, 1)))
+    pairs.append((L(n, 0, 1), L(n, 0, 1)))  # a zero bracket
     e = chevalley_basis(n)["e"]
-    pairs.append((e[0], commutator(e[0], e[1])))
-    for A, B in pairs:
+    # signed operands, as verify_commutations passes them, and the
+    # bracket of a bracket against a dense operand, as the ad(e_i)^2 rows
+    # pass them
+    signed = [SignedSparse.from_dense(M) for M in (e[0], e[1])]
+    cases = [(A, B, A @ B - B @ A) for A, B in pairs]
+    cases.append((*signed, e[0] @ e[1] - e[1] @ e[0]))
+    inner = cases[-1][2]
+    cases.append((e[0], commutator(*signed), e[0] @ inner - inner @ e[0]))
+    for A, B, want in cases:
         got = commutator(A, B)
-        assert sp.issparse(got)
-        A, B = (M.toarray() if sp.issparse(M) else M for M in (A, B))
-        np.testing.assert_array_equal(got.toarray(), A @ B - B @ A)
+        assert isinstance(got, SignedSparse)
+        assert np.all(np.diff(got.keys) > 0)
+        np.testing.assert_array_equal(got.toarray(), want)
+    assert len(commutator(L(n, 0, 1), L(n, 0, 1)).keys) == 0
+
+
+def test_sparse_bracket_keeps_an_inf_entry():
+    # products skip zero entries, so inf meets no 0; the dense product
+    # reads NaN along the whole row instead
+    n = 3
+    A, B = np.zeros((2, 1 << (3 * n), 1 << (3 * n)))
+    A[0, 1], B[1, 2] = np.inf, 1.0
+    got = commutator(A, B).toarray()
+    assert got[0, 2] == np.inf
+    assert np.count_nonzero(got) == 1 and not np.isnan(got).any()
+
+
+def test_signed_operands_read_as_dense_ones():
+    # perfbench's bracket hook reads shape, size and (A != 0).sum() of
+    # each operand and divides by 2 * A.size
+    n = 3
+    side = 1 << (3 * n)
+    zero = commutator(L(n, 0, 1), L(n, 0, 1))
+    operands = [zero, SignedSparse.from_dense(L(n, 0, 0)),
+                SignedSparse.from_dense(L(n, 0, bar(1))),
+                commutator(L(n, 0, 1), L(n, bar(1), bar(0)))]
+    for A in operands:
+        assert A.shape == (side, side)
+        assert A.size == side * side
+        assert (A != 0).sum() == np.count_nonzero(A.toarray())
+    assert (zero != 0).sum() == 0
+    with pytest.raises(ValueError):
+        zero != 1
 
 
 def test_sparse_closure_matches_dense(monkeypatch):
