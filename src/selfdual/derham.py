@@ -11,10 +11,14 @@ masks of a form in a few array operations.
 `inner` is the L2 product, the mean over the torus of the pointwise
 coefficient dot product: weight 1 on k = 0 and 1/2 on every other mode.
 d and the codifferential keep k, so they stay adjoint under it; both
-are gathered from the signed axis tables of `exterior.axis_table`. The
+are gathered from the signed axis tables of `exterior.axis_table`,
+through gather plans cached per (carrier, mode set, kernel). The
 constant operator algebra acts pointwise, mode by mode, which is what
-makes the commutation identities checkable here.
+makes the commutation identities checkable here; it keeps a form's
+modes, so one form's plans serve every operator applied to it.
 """
+
+import functools
 
 import numpy as np
 
@@ -89,7 +93,7 @@ class FourierForm:
         self._set_rows(tuple(table), rows)
 
     def _set_rows(self, freqs, rows):
-        keep = (rows != 0).any(axis=(0, 2)).tolist()
+        keep = rows.any(axis=(0, 2)).tolist()
         if not all(keep):
             freqs = tuple(k for k, kept in zip(freqs, keep) if kept)
             rows = rows[:, keep]
@@ -197,33 +201,43 @@ class FourierForm:
                  "cos": a, "sin": b} for mask, k, a, b in rows]
 
 
-def _wavenumbers(F):
-    """2 pi / P_j per axis: the derivative of mode k along j is this
-    times k_j (exactly 2 pi k_j on the unit torus)."""
-    return [TWO_PI / p for p in F.periods]
+@functools.lru_cache(maxsize=16)
+def _gather_plan(dim, periods, freqs, axis_op, sign):
+    """(index, weight), read-only, of shape (dim, modes, 2**dim): the
+    gather of `_first_order` on the modes freqs of a carrier.
+
+    Entry [j, i, m] reads the flat source of output mask m of mode i
+    along axis j from the rows padded by a zero column, and weighs it
+    by sign * (kernel sign) * (2 pi / P_j) * k_j. An axis with k_j = 0,
+    or a mask that no source reaches, reads the zero column. Cached per
+    (carrier, mode set, kernel), so a replaced kernel gets its own plan.
+    """
+    size, modes = 1 << dim, len(freqs)
+    source, signs = ext.axis_table(dim, axis_op)
+    k = np.array(freqs, dtype=int).reshape(modes, dim).T
+    start = (size + 1) * np.arange(modes)
+    index = np.where(k[:, :, None] != 0, source[:, None] + start[:, None],
+                     size)
+    wavenumbers = np.array([TWO_PI / p for p in periods])
+    weight = (sign * signs[:, None]) * (wavenumbers[:, None] * k)[:, :, None]
+    index.flags.writeable = weight.flags.writeable = False
+    return index, weight
 
 
 def _first_order(F, axis_op, sign):
     """sign * sum_j axis_op(., j) of the derivative along axis j, where
     axis_op is exterior.wedge_axis (d) or exterior.contract_axis.
 
-    One gather reads, per axis, each output entry's source entry from
-    the rows padded by a zero column. An axis with k_j = 0, or one that
-    reaches no source, reads that zero column, so an inf or NaN
-    coefficient meets no zero factor; the sum runs in axis order, as a
-    loop over the modes would take it.
+    One gather through the cached `_gather_plan` reads each output
+    entry's source per axis, so an inf or NaN coefficient meets no zero
+    factor; the sum runs in axis order, as a loop over the modes would
+    take it.
     """
-    size, modes = 1 << F.dim, len(F.freqs)
-    source, signs = ext.axis_table(F.dim, axis_op)
-    k = np.array(F.freqs, dtype=int).reshape(modes, F.dim).T
-    start = (size + 1) * np.arange(modes)
-    index = np.where(k[:, :, None] != 0, source[:, None] + start[:, None],
-                     size)
-    weight = (sign * signs[:, None]) * (
-        np.array(_wavenumbers(F))[:, None] * k)[:, :, None]
+    index, weight = _gather_plan(F.dim, F.periods, F.freqs, axis_op, sign)
+    size = 1 << F.dim
     # the derivative of a cos + b sin is b cos - a sin: the sin rows
     # gather into cos, the cos rows into sin, negated after the sum
-    padded = np.zeros((2, modes, size + 1))
+    padded = np.zeros((2, len(F.freqs), size + 1))
     padded[:, :, :size] = F._rows[::-1]
     rows = (padded.reshape(2, -1).take(index, axis=1) * weight).sum(axis=1)
     rows[1] *= -1.0
@@ -283,19 +297,22 @@ def verify_skaid(n, N, samples=50, seed=0):
         return apply_operator(M, laplacian(F)) - laplacian(
             apply_operator(M, F))
 
+    # forms outer, operators inner: every operator keeps a form's modes,
+    # so the form's gather plans stay cached across its operators
+    scaled = [(F, max(1.0, F.norm())) for F in forms]
     identities = [
-        ("pairing operators commute with d", pairing, forms,
+        ("pairing operators commute with d", pairing, scaled,
          lambda M, F: apply_operator(M, d(F)) - d(apply_operator(M, F))),
-        ("twisted differentials anticommute with d", pairing, forms,
+        ("twisted differentials anticommute with d", pairing, scaled,
          lambda M, F: d(dc(M, F)) + dc(M, d(F))),
         ("pairing operators and adjoints commute with the Laplacian",
-         with_adjoints, forms, laplacian_commutator),
+         with_adjoints, scaled, laplacian_commutator),
         ("every index pair commutes with the Laplacian", list(Ls.values()),
-         forms[:10], laplacian_commutator),
+         scaled[:10], laplacian_commutator),
     ]
     return [rp.check(f"identity-{i}", identity,
-                     rp.worst(residual(M, F).norm() / max(1.0, F.norm())
-                              for M in operators for F in sample),
+                     rp.worst(residual(M, F).norm() / scale
+                              for F, scale in sample for M in operators),
                      1e-10)
             for i, (identity, operators, sample, residual)
             in enumerate(identities, start=1)]

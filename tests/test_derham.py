@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from oracles import Multivector, fourier_at, inner, laplacian_direct, wedge
+from selfdual import derham
 from selfdual import exterior as ext
 from selfdual import liealg
 from selfdual.derham import (
@@ -278,6 +279,37 @@ def test_array_rows_match_the_dict_loops_exactly(n):
         for M in Ls:
             assert apply_operator(M, F).coefficient_table() == \
                 loop_apply_operator(M, F).coefficient_table()
+
+
+def test_cached_gather_plans_never_go_stale(monkeypatch):
+    rng = np.random.default_rng(72)
+    terms = FourierForm.random(rng, 3, 3).terms
+    # one mode set on two carriers, each order from a cold cache
+    carriers = [FourierForm(3, terms), FourierForm(3, terms, (0.5, 2.0, 1.5))]
+    assert carriers[0].freqs == carriers[1].freqs
+    for order in (carriers, carriers[::-1]):
+        derham._gather_plan.cache_clear()
+        for F in order:
+            for fast, loop in FIRST_ORDER:
+                assert fast(F).coefficient_table() == \
+                    loop(F).coefficient_table()
+    F = carriers[1]
+    for plan in derham._gather_plan(F.dim, F.periods, F.freqs,
+                                    ext.wedge_axis, 1):
+        assert not plan.flags.writeable
+    # a kernel replaced after a warm d gets its own plan
+    clean = d(F).coefficient_table()
+    wedge_axis = ext.wedge_axis
+
+    def planted(mask, j):
+        """The wedge sign flipped whenever the form already has an axis."""
+        hit = wedge_axis(mask, j)
+        return hit if hit is None or not mask else (hit[0], -hit[1])
+
+    monkeypatch.setattr(ext, "wedge_axis", planted)
+    got = d(F).coefficient_table()
+    assert got == loop_first_order(F, planted, 1).coefficient_table()
+    assert got != clean
 
 
 def same_entries(got, want):

@@ -1,5 +1,6 @@
 """The one worst-case reduction and the one pass rule."""
 
+import itertools
 import json
 import math
 
@@ -29,6 +30,16 @@ def test_worst_equals_max_on_finite_input(values):
     got = rp.worst(values)
     assert got == max(values)
     assert type(got) is float
+
+
+@given(st.lists(st.one_of(st.floats(), st.just(math.inf),
+                          st.just(math.nan)), max_size=5))
+def test_worst_ignores_the_order_of_its_cases(values):
+    # verify_skaid visits its (operator, form) cases forms first
+    want = rp.worst(values)
+    for order in itertools.permutations(values):
+        got = rp.worst(order)
+        assert got == want or math.isnan(got) and math.isnan(want)
 
 
 def test_non_finite_residual_fails_and_renders():
