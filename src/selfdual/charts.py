@@ -7,11 +7,17 @@ base with each fibre block through g, the degree-2 dual form with its
 base correction term, and the metric that makes the twisted horizontal
 frame carry g-lengths orthogonally to both fibre blocks.
 
+A potential's jet comes in closed form: a polynomial's by the Taylor
+shift of its terms, a log-sum-exp's from the rows' exponentials.
+
 A `FieldStructure` reads all four from one jets callable, which returns
 them at a point as truncated Taylor jets.  Over a chart that callable is
 `_ChartJets.at`, which assembles the four once per point and order and
 keeps the last bundle for the lookups that follow; a constant
-structure's callable returns constant jets.
+structure's callable returns constant jets. `at` works on stacked jets
+(`jets` module): g, the third-derivative tensor, the correction T,
+g^-1, T g^-1 T and h are each one coefficient array with leading matrix
+axes, unpacked once into the bundle's {axis mask: Jet} and rows of Jets.
 Jets give exterior derivatives and Christoffel symbols at machine
 precision.
 
@@ -24,13 +30,15 @@ order-1 jets and returns {axis mask: coefficient} over the masks that
 one more axis reaches, so its cost follows the field's nonzero entries.
 """
 
+from math import comb, factorial, prod
+
 import numpy as np
 
 from . import exterior as ext
 from . import polylinear as pl
 from . import report as rp
 from .exterior import GeometryError
-from .jets import jet_matrix_inverse, jet_space, variables
+from .jets import Jet, jet_matrix_inverse, jet_space, variables
 
 __all__ = [
     "NotConvexHere", "PolynomialPotential", "LogSumExpPotential",
@@ -63,17 +71,32 @@ class PolynomialPotential:
                 raise ValueError(f"bad exponent {expo}")
             if c:
                 self.terms[expo] = self.terms.get(expo, 0.0) + float(c)
+        self._shifts = {}
 
-    def jet(self, xjets):
-        space = xjets[0].space
-        out = space.zero()
-        for expo, c in self.terms.items():
-            term = space.constant(c)
-            for i, e in enumerate(expo):
-                if e:
-                    term = term * xjets[i] ** e
-            out = out + term
-        return out
+    def jet(self, space, x):
+        """K's jet at x: on each monomial a of the space, the Taylor shift
+        sum_e c_e prod_i C(e_i, a_i) x_i**(e_i - a_i) over the terms e."""
+        table = self._shifts.get(space)
+        if table is None:
+            table = self._shifts[space] = self._shift_table(space)
+        coef, power = table
+        x = np.asarray(x, dtype=float)
+        powers = x[:, None] ** np.arange(power.max(initial=0) + 1)
+        terms = powers[np.arange(self.n), power].prod(axis=-1)
+        return Jet(space, (coef * terms).sum(axis=0))
+
+    def _shift_table(self, space):
+        """coef[e, a] = c_e prod_i C(e_i, a_i) and power[e, a] = e - a for
+        each term e and monomial a; coefficient 0 and power 0 where a
+        exceeds e somewhere, so no overflowing power meets a zero."""
+        coef = np.zeros((len(self.terms), space.size))
+        power = np.zeros((*coef.shape, self.n), dtype=int)
+        for t, (expo, c) in enumerate(self.terms.items()):
+            for k, mono in enumerate(space.monomials):
+                if all(a <= e for a, e in zip(mono, expo)):
+                    coef[t, k] = c * prod(map(comb, expo, mono))
+                    power[t, k] = np.subtract(expo, mono)
+        return coef, power
 
 
 class LogSumExpPotential:
@@ -87,17 +110,24 @@ class LogSumExpPotential:
         if self.offsets.shape[0] != self.weights.size:
             raise ValueError("one offset row per weight")
         self.n = self.offsets.shape[1]
+        self._exps = {}
 
-    def jet(self, xjets):
-        space = xjets[0].space
-        total = space.zero()
-        for w, row in zip(self.weights, self.offsets):
-            expo = space.zero()
-            for a, xj in zip(row, xjets):
-                if a:
-                    expo = expo + a * xj
-            total = total + w * expo.exp()
-        return total.log()
+    def jet(self, space, x):
+        """K's jet at x: the log of the weighted sum of the rows'
+        exponentials, whose coefficient on a monomial m is
+        exp(a_r . x) a_r**m / m!."""
+        table = self._exps.get(space)
+        if table is None:
+            table = self._exps[space] = self._exp_table(space)
+        rows = np.exp(self.offsets @ np.asarray(x, dtype=float))
+        return Jet(space, (self.weights * rows) @ table).log()
+
+    def _exp_table(self, space):
+        """a_r**m / m! = prod_i a_ri**m_i / m_i! for each row r and
+        monomial m of the space."""
+        mono = np.array(space.monomials).reshape(space.size, self.n)
+        fact = [prod(map(factorial, m)) for m in space.monomials]
+        return (self.offsets[:, None, :] ** mono).prod(axis=-1) / fact
 
 
 class SumPotential:
@@ -110,10 +140,10 @@ class SumPotential:
             raise ValueError("mixed dimensions")
         self.parts = parts
 
-    def jet(self, xjets):
-        out = self.parts[0].jet(xjets)
+    def jet(self, space, x):
+        out = self.parts[0].jet(space, x)
         for p in self.parts[1:]:
-            out = out + p.jet(xjets)
+            out = out + p.jet(space, x)
         return out
 
 
@@ -177,8 +207,7 @@ class PotentialChart:
             raise ValueError(f"point {x} outside chart domain")
 
     def jet(self, x, order):
-        space = jet_space(self.n, order)
-        return self.potential.jet(variables(space, x))
+        return self.potential.jet(jet_space(self.n, order), x)
 
     def hessian(self, x):
         """Raw second-derivative matrix by jets, row i read off d_i K; no
@@ -221,11 +250,11 @@ def monge_ampere_residual(C, grid):
 FORMS = ("omega1", "omega2", "omegaD")
 
 
-def _jmat(A, B):
-    rows, inner, cols = len(A), len(B), len(B[0])
-    space = A[0][0].space
-    return [[sum((A[i][k] * B[k][j] for k in range(inner)), space.zero())
-             for j in range(cols)] for i in range(rows)]
+def _matmul(A, B):
+    """The product of two matrices of jets, each stacked over (rows,
+    columns): the products of all index triples at once, then the sum
+    over the inner index in its order."""
+    return Jet(A.space, (A[:, :, None] * B[None]).c.sum(axis=1))
 
 
 class _ChartJets:
@@ -233,9 +262,13 @@ class _ChartJets:
     bundle is kept: a grid point's lookups are consecutive (its forms at
     order 1, then the fields of `structure_at` at order 0).
 
-    Base quantities are jetted in x with three orders of headroom (the
-    correction term uses third potential derivatives), then embedded into
-    the full (x, y1, y2) space where the fibre coordinate enters linearly.
+    The potential is jetted in x with three orders of headroom (the
+    correction term uses third potential derivatives). Its Hessian g and
+    third-derivative tensor are stacked jets, embedded into the full
+    (x, y1, y2) space, where the fibre coordinate enters linearly; g is
+    inverted on its jets in x alone. Then the correction T, T g^-1 T and
+    the metric h are a few stacked arrays, unpacked once into the
+    bundle's jets.
     """
 
     def __init__(self, chart):
@@ -248,33 +281,31 @@ class _ChartJets:
             return self._last[1]
         n = self.chart.n
         d = 3 * n
-        x, y2 = p[:n], p[2 * n :]
+        x = p[:n]
         self.chart._check_domain(x)
         full = jet_space(d, order)
-        xsp = jet_space(n, order + 3)
-        K = self.chart.potential.jet(variables(xsp, x))
-        gx = [[K.partial(i).partial(j) for j in range(n)] for i in range(n)]
-        _require_definite(
-            np.array([[gx[i][j].value for j in range(n)] for i in range(n)]),
-            x)
+        xmap = range(n)
+        # D2[i, j] = d_j d_i K, D3[i, m, j] = d_j d_m d_i K
+        D2 = self.chart.jet(x, order + 3).gradient().gradient()
+        D3 = D2.gradient()
+        _require_definite(D2.c[..., 0], x)
 
-        xmap = list(range(n))
-        g = [[gx[i][j].embed(full, xmap) for j in range(n)] for i in range(n)]
-        y2j = [full.variable(2 * n + m, y2[m]) for m in range(n)]
+        g = D2.embed(full, xmap)
+        ginv = jet_matrix_inverse(D2.embed(jet_space(n, order), xmap))
+        y2 = variables(full, p)[2 * n :]
         # correction T_ij = -sum_m y2_m d^3K/dx_i dx_m dx_j, symmetric in i,j
-        T = [[sum((y2j[m] * (-1.0 * gx[i][m].partial(j).embed(full, xmap))
-                   for m in range(n)), full.zero())
-              for j in range(n)] for i in range(n)]
-        TgT = _jmat(T, _jmat(jet_matrix_inverse(g), T))
+        T = -Jet(full, (y2[None, :, None] * D3.embed(full, xmap)).c.sum(
+            axis=1))
+        TgT = _matmul(T, _matmul(ginv.embed(full, xmap), T))
 
-        h = [[full.zero() for _ in range(d)] for _ in range(d)]
-        for i in range(n):
-            for j in range(n):
-                h[i][j] = g[i][j] + TgT[i][j]
-                h[n + i][n + j] = g[i][j]
-                h[2 * n + i][2 * n + j] = g[i][j]
-                h[i][2 * n + j] = -1.0 * T[i][j]
-                h[2 * n + j][i] = -1.0 * T[i][j]
+        h = full.zero((d, d)).c
+        h[:n, :n] = (g + TgT).c
+        h[n : 2 * n, n : 2 * n] = h[2 * n :, 2 * n :] = g.c
+        h[:n, 2 * n :] = -T.c
+        h[2 * n :, :n] = -T.c.transpose(1, 0, 2)
+        h = [[Jet(full, e) for e in row] for row in h]
+        T = [[Jet(full, e) for e in row] for row in T.c]
+        g = [row[n : 2 * n] for row in h[n : 2 * n]]
         pairs = [(i, j) for i in range(n) for j in range(n)]
         # the dual form pairs the two fibres through g, with base
         # correction T on x_j ^ y1_i

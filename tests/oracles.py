@@ -5,8 +5,10 @@ from the code it checks: a sparse `Multivector` whose wedge takes its
 sign from inversion counts and whose contraction from axis positions,
 not from the one-axis kernels; Gram determinants for the pairing of
 forms; central differences for derivatives, and Taylor coefficients
-times factorials for the jets' derivatives; the flat-factor product for
-the torus family; and the mode formula for the Laplacian. Every name
+times factorials for the jets' derivatives; one scalar jet per entry,
+stepped entry by entry, for the chart structure's stacked jets; the
+flat-factor product for the torus family; and the mode formula for the
+Laplacian. Every name
 here is imported by some test module.
 """
 
@@ -16,9 +18,10 @@ import numpy as np
 
 from selfdual import exterior as ext
 from selfdual import polylinear as pl
-from selfdual.charts import FieldStructure
+from selfdual.charts import FieldStructure, LogSumExpPotential, SumPotential
 from selfdual.derham import FourierForm
 from selfdual.exterior import GeometryError
+from selfdual.jets import jet_space
 
 # ---------------------------------------------------------------------------
 # sparse exterior algebra
@@ -260,6 +263,107 @@ def hessian_fd(C, x, step=1e-4):
                 value(x + ei + ej) - value(x + ei - ej)
                 - value(x - ei + ej) + value(x - ei - ej)) / (4 * step**2)
     return H
+
+
+# ---------------------------------------------------------------------------
+# the chart structure jet by jet
+
+
+def scalar_potential_jet(potential, space, x):
+    """A potential's jet at x built from one scalar jet per coordinate: a
+    polynomial as sum c * prod_i x_i**e_i, each power a product of
+    jets; a log-sum-exp as the log of sum_r w_r exp(a_r . x), each
+    exponential by its Taylor series."""
+    xjets = [space.variable(i, float(v)) for i, v in enumerate(x)]
+    if isinstance(potential, SumPotential):
+        return sum((scalar_potential_jet(part, space, x)
+                    for part in potential.parts), space.zero())
+    out = space.zero()
+    if isinstance(potential, LogSumExpPotential):
+        for w, row in zip(potential.weights, potential.offsets):
+            # exp(a . x) as exp(a . x0) sum_k u**k / k! in the
+            # nilpotent u = a . (x - x0)
+            u = space.zero()
+            for a, xj, x0 in zip(row, xjets, x):
+                if a:
+                    u = u + a * (xj - float(x0))
+            term = row_exp = space.constant(1.0)
+            for k in range(1, space.order + 1):
+                term = term * u * (1.0 / k)
+                row_exp = row_exp + term
+            out = out + w * float(np.exp(row @ x)) * row_exp
+        return out.log()
+    for expo, c in potential.terms.items():
+        term = space.constant(c)
+        for xj, e in zip(xjets, expo):
+            for _ in range(e):
+                term = term * xj
+        out = out + term
+    return out
+
+
+def scalar_jet_matrix_inverse(M):
+    """Gauss-Jordan on rows of scalar jets, pivoting on value parts and
+    stepping one entry at a time; rows of the inverse's jets."""
+    M = [row[:] for row in M]
+    n = len(M)
+    space = M[0][0].space
+    inv = [[space.constant(1.0 if i == j else 0.0) for j in range(n)]
+           for i in range(n)]
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: abs(M[r][col].value))
+        if M[piv][col].value == 0.0:
+            raise ZeroDivisionError("jet matrix has singular value part")
+        M[col], M[piv] = M[piv], M[col]
+        inv[col], inv[piv] = inv[piv], inv[col]
+        scale = M[col][col].inverse()
+        M[col] = [e * scale for e in M[col]]
+        inv[col] = [e * scale for e in inv[col]]
+        for r in range(n):
+            f = M[r][col]
+            if r == col or not np.any(f.c):
+                continue
+            M[r] = [a - f * b for a, b in zip(M[r], M[col])]
+            inv[r] = [a - f * b for a, b in zip(inv[r], inv[col])]
+    return inv
+
+
+def scalar_chart_jets(C, p, order):
+    """The structure's jets at p over the chart C, one scalar jet per
+    entry: g, the correction T_ij = -sum_m y2_m d^3K/dx_i dx_m dx_j,
+    T g^-1 T and h each built entry by entry, in the bundle layout of
+    `FieldStructure.jets`."""
+    n = C.n
+    d = 3 * n
+    x, y2 = p[:n], p[2 * n :]
+    full = jet_space(d, order)
+
+    def matmul(A, B):
+        return [[sum((A[i][k] * B[k][j] for k in range(n)), full.zero())
+                 for j in range(n)] for i in range(n)]
+
+    K = scalar_potential_jet(C.potential, jet_space(n, order + 3), x)
+    gx = [[K.partial(i).partial(j) for j in range(n)] for i in range(n)]
+    xmap = list(range(n))
+    g = [[gx[i][j].embed(full, xmap) for j in range(n)] for i in range(n)]
+    y2j = [full.variable(2 * n + m, y2[m]) for m in range(n)]
+    T = [[sum((y2j[m] * (-1.0 * gx[i][m].partial(j).embed(full, xmap))
+               for m in range(n)), full.zero())
+          for j in range(n)] for i in range(n)]
+    TgT = matmul(T, matmul(scalar_jet_matrix_inverse(g), T))
+    h = [[full.zero() for _ in range(d)] for _ in range(d)]
+    for i in range(n):
+        for j in range(n):
+            h[i][j] = g[i][j] + TgT[i][j]
+            h[n + i][n + j] = h[2 * n + i][2 * n + j] = g[i][j]
+            h[i][2 * n + j] = h[2 * n + j][i] = -1.0 * T[i][j]
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    omegaD = {(1 << (n + i)) | (1 << (2 * n + j)): g[i][j] for i, j in pairs}
+    omegaD.update({(1 << j) | (1 << (n + i)): T[i][j] for i, j in pairs})
+    return {"omega1": {(1 << i) | (1 << (n + k)): g[i][k] for i, k in pairs},
+            "omega2": {(1 << i) | (1 << (2 * n + k)): g[i][k]
+                       for i, k in pairs},
+            "omegaD": omegaD, "h": h}
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,15 @@
 Oracles (`oracles`): hand derivatives for the one-dimensional quartic
 potential, central finite differences for every jet-computed quantity,
 the composite matrix formula (through the inverse metric) for the
-dual-field correction term, and the flat-factor product for constant structures.
+dual-field correction term, one scalar jet per entry for the stacked
+structure jets and the closed-form potential jets, and the flat-factor
+product for constant structures.
 """
 
+import importlib.util
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +19,8 @@ from scipy.stats import qmc
 
 from oracles import (
     FlatKahlerFactor, Multivector, basis_two_form, exterior_derivative_fd,
-    fibre_product, form_norm, hessian_fd,
+    fibre_product, form_norm, hessian_fd, scalar_chart_jets,
+    scalar_potential_jet,
 )
 from selfdual import polylinear as pl
 from selfdual.charts import (
@@ -197,6 +203,63 @@ def test_twisted_frame_is_horizontal_for_h():
     np.testing.assert_allclose(
         h[:1, :1] - h[:1, 1:] @ np.linalg.solve(h[1:, 1:], h[1:, :1]), g,
         atol=1e-10)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def benchmark_and_demo_charts():
+    """(label, chart, grid seed) for the six charts of the chart-grid
+    benchmark cycle at seeds 1 and 7, then for each demo chart. The
+    generator writes its configs under the working directory."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    out = []
+    for seed in (1, 7):
+        for op in workloads.make_cycle("chart-grid", seed):
+            path = op.argv[op.argv.index("--chart") + 1]
+            out.append((path, json.loads(Path(path).read_text()),
+                        int(op.argv[op.argv.index("--seed") + 1])))
+    for path in sorted((ROOT / "demos" / "charts").glob("*.cfg")):
+        out.append((path.name, json.loads(path.read_text()), 0))
+    return [(label, chart_from_config(cfg), seed)
+            for label, cfg, seed in out]
+
+
+def assert_jets_close(got, want, what):
+    # every coefficient to 1e-13 of the entry's largest one, so an entry
+    # of zero jets stays exactly zero
+    assert got.space is want.space, what
+    np.testing.assert_allclose(got.c, want.c, rtol=0,
+                               atol=1e-13 * np.max(np.abs(want.c)),
+                               err_msg=what)
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_stacked_bundle_matches_the_scalar_jet_oracle(order, tmp_path,
+                                                      monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for label, C, seed in benchmark_and_demo_charts():
+        F = build_XY(C)
+        for p in chart_grid(C, 10, seed=seed):
+            got, want = F.jets(p, order), scalar_chart_jets(C, p, order)
+            where = f"{label} at {p}, order {order}"
+            for name in FORMS:
+                assert list(got[name]) == list(want[name]), where
+                for mask, jet in want[name].items():
+                    assert_jets_close(got[name][mask], jet,
+                                      f"{name}[{mask:#b}] {where}")
+            for i, row in enumerate(want["h"]):
+                for j, jet in enumerate(row):
+                    assert_jets_close(got["h"][i][j], jet,
+                                      f"h[{i}][{j}] {where}")
+        for q in range(5):
+            space = jet_space(C.n, q)
+            x = chart_grid(C, 1, seed=seed)[0, : C.n]
+            assert_jets_close(C.jet(x, q), scalar_potential_jet(
+                C.potential, space, x), f"K {label}, order {q}")
 
 
 # ---------------------------------------------------------------------------

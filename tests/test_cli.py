@@ -306,8 +306,8 @@ def test_non_convex_grid_point_is_a_failed_record(capsys, tmp_path):
     assert rep["data"]["monge_ampere_residual"] == "inf"
 
 
-# x**2 overflows far out on this domain, where the Hessian turns NaN
-OVERFLOWING = {"potential": {"terms": {"2": 1.0}},
+# the Hessian 12 x**2 of x**4 overflows far out on this domain
+OVERFLOWING = {"potential": {"terms": {"4": 1.0}},
                "domain": [[-1.0, 1e300]], "grid_size": 5}
 
 
